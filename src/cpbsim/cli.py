@@ -35,6 +35,7 @@ from .experiment import (
     run_protocol,
     sample_experiment,
     stochasticity_defect,
+    transition_matrix,
 )
 from .model import charge_labels
 from .noise import (
@@ -42,7 +43,7 @@ from .noise import (
     kolmogorov_distance_quadrature,
     ratio_trace,
 )
-from .propagate import spectrum_trace
+from .propagate import evolve, spectrum_trace
 from .thermo import (
     EXACT,
     bk_equality,
@@ -162,7 +163,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    trans = run_protocol(cfg.device, cfg.protocol, cfg.propagator)
+    u = evolve(cfg.device, cfg.protocol, cfg.propagator)
+    trans = transition_matrix(u, charge_labels(cfg.device), cfg.protocol.direction)
     out = _OutputSet(Path(cfg.output_dir))
     out.write("transition_matrix.csv", _csv(_matrix_rows(trans.matrix, trans.labels)))
     out.write(
@@ -185,7 +187,7 @@ def cmd_run(cfg: RunConfig) -> int:
         "column_leakage": {str(n): float(v) for n, v in zip(subspace, leakage)},
     }
     if cfg.protocol.direction == FORWARD:
-        prep = prepare_ensemble(cfg.device, cfg.protocol, cfg.propagator, subspace)
+        prep = prepare_ensemble(cfg.device, cfg.protocol, u, subspace)
         rows = [["label", "probability"]] + [
             [int(n), p] for n, p in zip(prep.labels, prep.probabilities)
         ]

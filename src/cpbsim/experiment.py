@@ -142,7 +142,7 @@ def run_protocol(
 def prepare_ensemble(
     params: DeviceParams,
     protocol,
-    config: PropagatorConfig,
+    u: np.ndarray,
     subspace=DEFAULT_SUBSPACE,
 ) -> PreparationEnsemble:
     """First-measurement distribution after driving the t = 0 ground state.
@@ -150,13 +150,14 @@ def prepare_ensemble(
     The device starts in the exact ground state of the frozen Hamiltonian at
     the protocol start; the drive then spreads it over a handful of charge
     states, which is what makes a multi-state thermal ensemble emulatable.
-    Forward protocols only.
+    ``u`` is the protocol's full-window propagator from :func:`evolve`, so
+    callers that also need the transition matrix propagate once. Forward
+    protocols only.
     """
     if protocol.direction != FORWARD:
         raise ValueError("preparation is defined for forward protocols")
     h0 = build_hamiltonian(params, sample_drive(protocol, 0.0))
     ground = eigensystem(h0).states[:, 0]
-    u = evolve(params, protocol, config)
     probabilities = np.abs(u @ ground) ** 2
     labels = charge_labels(params)
     index = {int(n): i for i, n in enumerate(labels)}

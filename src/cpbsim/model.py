@@ -8,6 +8,7 @@ truncated to an odd number of states N, with labels n running over
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -128,6 +129,23 @@ def build_hamiltonian(params: DeviceParams, bias: BiasPoint) -> np.ndarray:
     return h
 
 
+def gauge_tridiagonal(params: DeviceParams, bias: BiasPoint):
+    """Real symmetric tridiagonal form of the Hamiltonian and its gauge.
+
+    Every tunneling bond carries the same phase arg E_J, so the diagonal
+    gauge D = diag(exp(-i*n*arg E_J)) gives H = D T D^dagger with T real:
+    diagonal 4*E_C*(n - n_g)^2 as in :func:`build_hamiltonian`, and -|E_J|/2
+    on both off-diagonals. Returns (diagonal, off-diagonal, gauge), with the
+    off-diagonal and the gauge taken from one ``josephson_energy`` value.
+    """
+    n = charge_labels(params).astype(float)
+    ej = josephson_energy(params, bias.flux)
+    diagonal = 4.0 * params.charging_energy * (n - bias.gate_charge) ** 2
+    off = np.full(params.n_charges - 1, -0.5 * abs(ej))
+    gauge = np.exp(-1j * cmath.phase(ej) * n)
+    return diagonal, off, gauge
+
+
 def time_reverse_hamiltonian(h: np.ndarray) -> np.ndarray:
     """Antiunitary time-reversal image of ``h`` in the charge basis.
 
@@ -155,13 +173,14 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
     if defect > 1e-10 * scale:
         raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
     energies, states = np.linalg.eigh(h)
-    states = states.copy()
-    for k in range(states.shape[1]):
-        lead = states[np.argmax(np.abs(states[:, k])), k]
-        mag = abs(lead)
-        if mag > 0.0:
-            states[:, k] *= lead.conjugate() / mag
-    return EigenSystem(energies=energies, states=states)
+    columns = np.arange(states.shape[1])
+    lead = states[np.argmax(np.abs(states), axis=0), columns]
+    # hypot rounds exactly like abs() of a complex scalar; np.abs may not
+    mag = np.hypot(lead.real, lead.imag)
+    pin = np.ones_like(lead)
+    nonzero = mag > 0.0
+    pin[nonzero] = lead[nonzero].conjugate() / mag[nonzero]
+    return EigenSystem(energies=energies, states=states * pin)
 
 
 def charge_operator(params: DeviceParams) -> np.ndarray:

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 from .drive import sample_drive
 from .model import (
@@ -176,6 +174,8 @@ def detector_distinguishability(det: DetectorParams) -> DetectorReport:
     distance between the two Gaussian outcome distributions has the closed
     form erf(delta/(2*sqrt(2)*sigma)).
     """
+    from scipy.special import erf  # deferred: a slow import most commands skip
+
     sigma = det.charge_sensitivity / math.sqrt(det.measurement_time * 1e-9)
     delta = 2.0 * det.coupling_capacitance / det.island_capacitance
     distance = float(erf(delta / (2.0 * math.sqrt(2.0) * sigma)))
@@ -194,6 +194,8 @@ def kolmogorov_distance_quadrature(det: DetectorParams) -> float:
     cross-checked; integrates over [-12, 12+delta] sigmas where the
     Gaussians carry all but ~1e-33 of their mass.
     """
+    from scipy.integrate import quad  # deferred: a slow import most commands skip
+
     sigma = det.charge_sensitivity / math.sqrt(det.measurement_time * 1e-9)
     delta = 2.0 * det.coupling_capacitance / det.island_capacitance
 

@@ -5,6 +5,14 @@ exact exponential of the frozen matrix, so every step is exactly unitary and
 the scheme is second-order accurate in the step size. The interval is tiled
 with steps of exactly ``time_step`` plus one shorter remainder step when the
 duration is not an integer multiple.
+
+Each frozen H is tridiagonal with one phase arg E_J on every bond, so a
+diagonal gauge D makes it a real symmetric tridiagonal T (see
+:func:`cpbsim.model.gauge_tridiagonal`). A step is then
+U_step = D S exp(-i E dt) S^T D^dagger with T = S E S^T from LAPACK
+``dstevd``; S and S^T are applied as real products, and consecutive steps
+share one diagonal gauge change D_new^dagger D_old. :func:`step_unitary`
+keeps the dense complex route as the reference.
 """
 
 from __future__ import annotations
@@ -12,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstevd, dsterf
 
 from .drive import sample_drive
-from .model import DeviceParams, build_hamiltonian
+from .model import DeviceParams, gauge_tridiagonal
 
 #: Step size (ns) used by the benchmark runs.
 DEFAULT_TIME_STEP = 1e-4
@@ -69,7 +78,8 @@ def evolve(
 
     Later-time step factors multiply on the left. Defaults to the full
     protocol window. The step size must resolve the protocol: at least 100
-    steps per duration are required.
+    steps per duration are required. Raises ``numpy.linalg.LinAlgError``
+    when the LAPACK eigensolver fails.
     """
     duration = protocol.duration
     if t_stop is None:
@@ -83,21 +93,46 @@ def evolve(
             "need at least 100 steps"
         )
     n_full, remainder = _grid(t_stop - t_start, dt)
-    u = np.eye(params.n_charges, dtype=complex)
-    for j in range(n_full):
-        u = _apply_step(params, protocol, t_start + (j + 0.5) * dt, dt, u)
+    steps = [(t_start + (j + 0.5) * dt, dt) for j in range(n_full)]
     if remainder > 0.0:
-        u = _apply_step(
-            params, protocol, t_start + n_full * dt + 0.5 * remainder, remainder, u
+        steps.append((t_start + n_full * dt + 0.5 * remainder, remainder))
+    # w = D^dagger U in the gauge D of the latest step (D = 1 before the first)
+    w = np.eye(params.n_charges, dtype=complex)
+    gauge = np.ones(params.n_charges, dtype=complex)
+    for t_mid, step in steps:
+        diagonal, off, new_gauge = gauge_tridiagonal(
+            params, sample_drive(protocol, t_mid)
         )
-    return u
+        energies, states = _eigh_tridiagonal(diagonal, off)
+        w *= (new_gauge.conj() * gauge)[:, None]
+        w = _real_product(states.T, w)
+        w *= np.exp(-1j * energies * step)[:, None]
+        w = _real_product(states, w)
+        gauge = new_gauge
+    return gauge[:, None] * w
 
 
-def _apply_step(params, protocol, t_mid, dt, u):
-    h = build_hamiltonian(params, sample_drive(protocol, t_mid))
-    energies, states = np.linalg.eigh(h)
-    phases = np.exp(-1j * energies * dt)
-    return states @ (phases[:, None] * (states.conj().T @ u))
+def _eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
+    """Eigenvalues and orthonormal eigenvectors of a real symmetric tridiagonal."""
+    energies, states, info = dstevd(diagonal, off)
+    _check_lapack("dstevd", info)
+    # dstevd's column norms miss 1 by a few ulps with a slight bias, which
+    # adds up over thousands of near-identical steps (the default 6,667-step
+    # propagator drifts ~1e-12 from unitary). A first-order renormalization,
+    # applied additively so that each entry rounds on its own, cuts that
+    # drift to ~4e-13.
+    states -= states * (0.5 * (np.einsum("ij,ij->j", states, states) - 1.0))
+    return energies, states
+
+
+def _real_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w for real ``a`` and C-contiguous complex ``w``, in real arithmetic."""
+    return (a @ w.view(float)).view(complex)
+
+
+def _check_lapack(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -113,8 +148,9 @@ def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTr
     times = np.linspace(0.0, protocol.duration, n_samples)
     energies = np.empty((n_samples, params.n_charges))
     for i, t in enumerate(times):
-        h = build_hamiltonian(params, sample_drive(protocol, float(t)))
-        levels = np.linalg.eigvalsh(h)
+        diagonal, off, _ = gauge_tridiagonal(params, sample_drive(protocol, float(t)))
+        levels, info = dsterf(diagonal, off)
+        _check_lapack("dsterf", info)
         energies[i] = levels - levels[0]
     return SpectrumTrace(times=times, energies=energies)
 

@@ -84,8 +84,8 @@ def trans_backward(u_backward, params):
 
 
 @pytest.fixture(scope="session")
-def preparation(params, protocol, prop_config):
-    return prepare_ensemble(params, protocol, prop_config)
+def preparation(params, protocol, u_forward):
+    return prepare_ensemble(params, protocol, u_forward)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import cpbsim.cli
+import cpbsim.experiment
 from cpbsim.cli import main
 from cpbsim.config import config_from_mapping
 
@@ -97,6 +99,25 @@ def test_run_sampled_counts(tmp_path):
     counts = np.array([[int(c) for c in row[1:]] for row in rows[1:]])
     assert counts.sum() == 2000
     assert _read_json(out / "run_report.json")["events"] == 2000
+
+
+def test_run_propagates_once(tmp_path, monkeypatch):
+    calls = []
+    evolve = cpbsim.cli.evolve
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args[1].direction)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(cpbsim.cli, "evolve", counting_evolve)
+    monkeypatch.setattr(cpbsim.experiment, "evolve", counting_evolve)
+    out = tmp_path / "once"
+    code = main(
+        ["run", "--dt", "1e-3", "--sampled", "--events", "1000", "--out", str(out)]
+    )
+    assert code == 0
+    assert (out / "preparation.csv").exists() and (out / "counts.csv").exists()
+    assert calls == ["forward"]
 
 
 def test_run_backward_skips_preparation(tmp_path):

@@ -95,9 +95,9 @@ def test_preparation_matches_fine_step_reference(preparation):
     assert preparation.subspace_mass == pytest.approx(SUBSPACE_MASS, abs=2e-5)
 
 
-def test_preparation_rejects_backward(params, backward_protocol, prop_config):
+def test_preparation_rejects_backward(params, backward_protocol, u_backward):
     with pytest.raises(ValueError):
-        prepare_ensemble(params, backward_protocol, prop_config)
+        prepare_ensemble(params, backward_protocol, u_backward)
 
 
 def test_partition_seeds_cover_range():

@@ -4,14 +4,22 @@ import scipy.linalg
 
 from cpbsim import (
     DeviceParams,
+    DriveProtocol,
     PropagatorConfig,
+    Waveform,
+    build_hamiltonian,
     convergence_estimate,
     default_protocol,
     evolve,
+    reverse_protocol,
+    sample_drive,
     spectrum_trace,
     step_unitary,
     unitarity_defect,
 )
+from cpbsim import propagate
+from cpbsim.cli import main
+from cpbsim.propagate import _grid
 
 COARSE = PropagatorConfig(time_step=1e-3)
 
@@ -19,6 +27,21 @@ COARSE = PropagatorConfig(time_step=1e-3)
 def _random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return m + m.conj().T
+
+
+def _dense_evolve(params, protocol, dt, t_start=0.0, t_stop=None):
+    """Reference route: product of dense step_unitary factors on evolve's grid."""
+    if t_stop is None:
+        t_stop = protocol.duration
+    n_full, remainder = _grid(t_stop - t_start, dt)
+    steps = [(t_start + (j + 0.5) * dt, dt) for j in range(n_full)]
+    if remainder > 0.0:
+        steps.append((t_start + n_full * dt + 0.5 * remainder, remainder))
+    u = np.eye(params.n_charges, dtype=complex)
+    for t_mid, step in steps:
+        h = build_hamiltonian(params, sample_drive(protocol, t_mid))
+        u = step_unitary(h, step) @ u
+    return u
 
 
 def test_step_unitary_matches_expm():
@@ -54,6 +77,76 @@ def test_evolve_handles_non_commensurate_window(params, protocol):
     # land the propagator exactly at t_stop and keep it unitary
     u = evolve(params, protocol, COARSE, 0.0, protocol.duration / 10.0)
     assert unitarity_defect(u) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "direction, window",
+    [("forward", None), ("backward", None), ("forward", (0.1, 0.1 + 0.2 / 3.0))],
+    ids=["forward", "backward", "sub-window"],
+)
+def test_evolve_matches_dense_route(params, protocol, direction, window):
+    prot = protocol if direction == "forward" else reverse_protocol(protocol)
+    t_start, t_stop = window or (0.0, prot.duration)
+    if window is not None:
+        assert _grid(t_stop - t_start, COARSE.time_step)[1] > 0.0
+    u = evolve(params, prot, COARSE, t_start, t_stop)
+    reference = _dense_evolve(params, prot, COARSE.time_step, t_start, t_stop)
+    assert np.max(np.abs(u - reference)) < 1e-12
+
+
+def _random_device_and_protocol(rng, case):
+    params = DeviceParams(
+        charging_energy=2 * np.pi * rng.uniform(1.0, 5.0),
+        josephson_energy_total=0.0 if case == 1 else 2 * np.pi * rng.uniform(1.0, 15.0),
+        asymmetry=0.0 if case == 0 else rng.uniform(0.0, 1.0),
+        n_charges=int(rng.choice([5, 11, 15])),
+    )
+    # at least one full flux period with amplitude above 1/2 drives the flux
+    # through +-1/2, where cos(pi*flux) changes sign and, at asymmetry 0,
+    # the bond phase arg E_J jumps by pi
+    duration = rng.uniform(0.3, 0.8)
+    protocol = DriveProtocol(
+        flux=Waveform(
+            offset=rng.uniform(-0.2, 0.2),
+            amplitude=rng.uniform(0.55, 0.9),
+            frequency=rng.uniform(1.0, 2.5) / duration,
+            phase=rng.uniform(0.0, 2 * np.pi),
+        ),
+        gate=Waveform(
+            offset=rng.uniform(-0.5, 0.5),
+            amplitude=rng.uniform(-2.0, 2.0),
+            frequency=rng.uniform(0.5, 3.0),
+            phase=rng.uniform(0.0, 2 * np.pi),
+        ),
+        duration=duration,
+    )
+    return params, protocol
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_evolve_matches_dense_route_on_random_protocols(case):
+    rng = np.random.default_rng(1000 + case)
+    params, forward = _random_device_and_protocol(rng, case)
+    config = PropagatorConfig(time_step=forward.duration / rng.uniform(150.5, 300.5))
+    flux = [forward.forward_bias(t).flux for t in np.linspace(0.0, forward.duration, 200)]
+    assert max(np.abs(flux)) > 0.5
+    for prot in (forward, reverse_protocol(forward)):
+        u = evolve(params, prot, config)
+        reference = _dense_evolve(params, prot, config.time_step)
+        assert np.max(np.abs(u - reference)) < 1e-12
+        assert unitarity_defect(u) < 1e-13
+
+
+def test_evolve_lapack_failure_raises_and_exits_2(monkeypatch, tmp_path, params, protocol):
+    def failing_dstevd(diagonal, off):
+        return diagonal, np.eye(diagonal.size), 1
+
+    monkeypatch.setattr(propagate, "dstevd", failing_dstevd)
+    with pytest.raises(np.linalg.LinAlgError, match="dstevd"):
+        evolve(params, protocol, COARSE)
+    out = tmp_path / "run"
+    assert main(["run", "--dt", "1e-3", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_evolve_window_validation(params, protocol):
@@ -104,6 +197,16 @@ def test_spectrum_crossings_without_tunneling(params):
     assert gap.min() < 0.5
     with_tunneling = spectrum_trace(params, default_protocol(), 1001)
     assert with_tunneling.energies[:, 1].min() > 1.0
+
+
+def test_spectrum_trace_matches_dense_eigenvalues(params, backward_protocol):
+    trace = spectrum_trace(params, backward_protocol, 61)
+    for t, levels in zip(trace.times, trace.energies):
+        h = build_hamiltonian(params, sample_drive(backward_protocol, float(t)))
+        reference = np.linalg.eigvalsh(h)
+        np.testing.assert_allclose(
+            levels, reference - reference[0], rtol=1e-12, atol=1e-9
+        )
 
 
 def test_spectrum_trace_validation(params, protocol):
