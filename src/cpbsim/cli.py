@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_from_mapping
+from .config import RunConfig, config_from_mapping, read_mapping
 from .drive import FORWARD
 from .drive import reverse_protocol
 from .experiment import (
@@ -111,26 +111,33 @@ def _csv(rows) -> str:
 
 
 class _OutputSet:
-    """Collects payload files and finishes with the checksummed manifest."""
+    """Collects payload files and finishes with the checksummed manifest.
+
+    Payloads stay in memory until :meth:`manifest`, which creates the output
+    directory and writes them, so a command that fails part way leaves no
+    files behind.
+    """
 
     def __init__(self, outdir: Path) -> None:
         self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        self.checksums: dict = {}
+        self.payloads: dict = {}
 
     def write(self, name: str, text: str) -> None:
-        data = text.encode("utf-8")
-        (self.outdir / name).write_bytes(data)
-        self.checksums[name] = hashlib.sha256(data).hexdigest()
+        self.payloads[name] = text.encode("utf-8")
 
     def manifest(self, cfg: RunConfig) -> None:
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        checksums = {}
+        for name, data in self.payloads.items():
+            (self.outdir / name).write_bytes(data)
+            checksums[name] = hashlib.sha256(data).hexdigest()
         doc = {
             "tool": "cpbsim",
             "version": __version__,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "seed": cfg.seed,
             "config": cfg.resolved(),
-            "outputs": {k: self.checksums[k] for k in sorted(self.checksums)},
+            "outputs": {k: checksums[k] for k in sorted(checksums)},
         }
         path = self.outdir / "manifest.json"
         path.write_text(_jdump(doc) + "\n", encoding="utf-8")
@@ -359,17 +366,6 @@ def cmd_noise(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _read_mapping(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError("config file must contain a JSON object")
-    return data
-
-
 def _nested(mapping: dict, key: str) -> dict:
     section = mapping.setdefault(key, {})
     if not isinstance(section, dict):
@@ -458,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        mapping = {} if args.config is None else _read_mapping(args.config)
+        mapping = {} if args.config is None else read_mapping(args.config)
         mapping = _merge_overrides(mapping, args)
         cfg = config_from_mapping(mapping)
     except (OSError, ValueError) as exc:

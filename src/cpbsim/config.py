@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple, Union
 
@@ -66,7 +67,13 @@ class _Section:
 def _float(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"config key {name!r} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"config key {name!r} must be finite")
+    return number
 
 
 def _int(name: str, value: Any, minimum: int) -> int:
@@ -344,12 +351,17 @@ def config_from_mapping(data: Mapping) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def read_mapping(path) -> dict:
+    """Top-level JSON object of a config file; malformed JSON raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path}: {exc}") from None
-    if not isinstance(data, Mapping):
+    if not isinstance(data, dict):
         raise ValueError("config file must contain a JSON object")
-    return config_from_mapping(data)
+    return data
+
+
+def load_config(path) -> RunConfig:
+    return config_from_mapping(read_mapping(path))

@@ -194,18 +194,88 @@ def partition_seeds(seed: int, n_events: int, partition: int = EVENT_PARTITION):
     return out
 
 
+#: Largest |sum(p) - 1| a probability vector may show, as in numpy's ``choice``.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative table that ``Generator.choice(p=p)`` searches.
+
+    Outcome k is drawn for a uniform x exactly when ``cdf[k-1] <= x <
+    cdf[k]``, i.e. ``cdf.searchsorted(x, side="right") == k``. The checks are
+    the ones ``choice`` makes before drawing.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if np.isnan(p).any():
+        raise ValueError("probabilities contain NaN")
+    if (p < 0.0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(p.sum() - 1.0) > _SUM_TOLERANCE:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _count_below(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """``#{x < t}`` for each threshold t, one comparison pass per threshold."""
+    return np.array([np.count_nonzero(x < t) for t in thresholds], dtype=np.int64)
+
+
 def _draw_pairs(rng, initial_probs, columns, size):
-    """Vectorized two-point draw: initial index from ``initial_probs``, final
-    index from the matching column of ``columns``. Iterates initial labels in
-    fixed order so streams are reproducible."""
-    first = rng.choice(initial_probs.size, size=size, p=initial_probs)
+    """Two-point draw: initial index from ``initial_probs``, final index from
+    the matching column of ``columns``.
+
+    Stream contract: the result and the generator's final state equal those
+    of ``first = rng.choice(n, size, p=initial_probs)`` followed by one
+    ``rng.choice(m, hits_j, p=columns[:, j])`` per initial index j with
+    hits, in increasing j. That is one block ``u`` of ``size`` uniforms for
+    the first indices, then a block ``v`` of ``size`` uniforms consumed label
+    by label, in event order within a label.
+    """
+    u = rng.random(size)
+    v = rng.random(size)
+    n = initial_probs.size
+    first = _cdf(initial_probs).searchsorted(u, side="right")
+    # stable radix sort on the narrowest key that holds every label index
+    order = np.argsort(first.astype(np.min_scalar_type(n - 1)), kind="stable")
+    stops = np.cumsum(np.bincount(first, minlength=n))
     second = np.empty(size, dtype=np.int64)
-    for j in range(initial_probs.size):
-        mask = first == j
-        hits = int(mask.sum())
-        if hits:
-            second[mask] = rng.choice(columns.shape[0], size=hits, p=columns[:, j])
+    start = 0
+    for j, stop in enumerate(stops):
+        if stop > start:
+            picks = _cdf(columns[:, j]).searchsorted(v[start:stop], side="right")
+            second[order[start:stop]] = picks
+        start = stop
     return first, second
+
+
+def _pair_counts(rng, initial_probs, columns, size, rows):
+    """Histogram of :func:`_draw_pairs` restricted to final indices ``rows``.
+
+    ``counts[j, k]`` is the number of events with initial index j and final
+    index ``rows[k]``; the stream read is the same as :func:`_draw_pairs`,
+    so the counts are exactly those of its event arrays. No per-event label
+    array is built: outcome k of a table c is hit by #{x < c[k]} - #{x <
+    c[k-1]} uniforms, exact integer arithmetic on comparison counts.
+    """
+    u = rng.random(size)
+    v = rng.random(size)
+    hits = np.diff(_count_below(u, _cdf(initial_probs)), prepend=0)
+    counts = np.zeros((initial_probs.size, rows.size), dtype=np.int64)
+    start = 0
+    for j, h in enumerate(hits):
+        if h:
+            x = v[start : start + h]
+            # bounds[k] = cdf[k-1], with 0 below the first outcome (x >= 0)
+            bounds = np.concatenate(([0.0], _cdf(columns[:, j])))
+            needed = np.unique(np.concatenate((bounds[rows], bounds[rows + 1])))
+            below = _count_below(x, needed)
+            upper = below[needed.searchsorted(bounds[rows + 1])]
+            lower = below[needed.searchsorted(bounds[rows])]
+            counts[j] = upper - lower
+            start += h
+    return counts
 
 
 def sample_experiment(
@@ -220,6 +290,11 @@ def sample_experiment(
     matching transition-matrix column. Events are generated in fixed-size
     partitions with seeds derived from (seed, partition index) and merged in
     order, so results do not depend on how partitions would be scheduled.
+
+    Stream contract: each partition's generator is read exactly as by
+    ``Generator.choice`` drawing all first labels, then the second labels of
+    each first label in label order (see :func:`_draw_pairs`), so a fixed
+    seed gives the same events as that loop of ``choice`` calls.
     """
     if n_events <= 0:
         raise ValueError("n_events must be positive")
@@ -235,8 +310,7 @@ def sample_experiment(
         first[start : start + length] = f
         second[start : start + length] = s
     n = trans.labels.size
-    counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (second, first), 1)
+    counts = np.bincount(second * n + first, minlength=n * n).reshape(n, n)
     return ExperimentSample(
         first=trans.labels[first],
         second=trans.labels[second],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import sample_drive
-from .experiment import TransitionMatrix, partition_seeds, _draw_pairs
+from .experiment import TransitionMatrix, partition_seeds, _pair_counts
 from .model import (
     DEFAULT_SUBSPACE,
     KB_OVER_HBAR,
@@ -286,6 +286,12 @@ def sample_work(
     transition-matrix column over the full basis; events leaking out of the
     subspace are discarded and counted. Partitioned seeding as in
     :func:`cpbsim.experiment.sample_experiment`.
+
+    Stream contract: each partition's generator is read exactly as if the
+    events were drawn with ``Generator.choice``, first labels for the whole
+    partition and then second labels grouped by first label in ladder order,
+    so the counts equal a histogram of those event draws. Only the counts
+    are formed; no per-event label array is built.
     """
     if n_events < 1:
         raise ValueError("n_events must be positive")
@@ -294,26 +300,21 @@ def sample_work(
     cols = _column_indices(trans, ladder)
     columns = trans.matrix[:, cols]
     columns = columns / columns.sum(axis=0, keepdims=True)
-    values, group = _work_grid(ladder)
-    counts = np.zeros(values.size, dtype=np.int64)
-    discarded = 0
-    # map full-basis second index -> ladder index, -1 when outside
-    back = np.full(trans.labels.size, -1, dtype=np.int64)
-    back[cols] = np.arange(cols.size)
+    # pairs[i, j]: events with first ladder index i and second ladder index j
+    pairs = np.zeros((cols.size, cols.size), dtype=np.int64)
     for _start, length, seq in partition_seeds(seed, n_events):
         rng = np.random.default_rng(seq)
-        first, second = _draw_pairs(rng, weights.weights, columns, length)
-        inside = back[second] >= 0
-        discarded += int(length - inside.sum())
-        atoms = group[first[inside], back[second[inside]]]
-        np.add.at(counts, atoms, 1)
+        pairs += _pair_counts(rng, weights.weights, columns, length, cols)
+    values, group = _work_grid(ladder)
+    counts = np.zeros(values.size, dtype=np.int64)
+    np.add.at(counts, group, pairs)
     return WorkDistribution(
         values=values,
         mass=counts,
         direction=trans.direction,
         kind=SAMPLED,
         n_events=n_events,
-        n_discarded=discarded,
+        n_discarded=n_events - int(pairs.sum()),
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 import cpbsim.cli
 import cpbsim.experiment
 from cpbsim.cli import main
-from cpbsim.config import config_from_mapping
+from cpbsim.config import config_from_mapping, load_config
 
 
 def _write_config(tmp_path, mapping, name="config.json"):
@@ -44,6 +44,45 @@ def test_bad_temperatures_flag_exits_2(tmp_path):
     assert code == 2
     code = main(["gibbs", "--temperatures", "-5", "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "mapping, argv",
+    [
+        ({"device": {"josephson_energy_total": math.nan}}, ["run", "--dt", "1e-3"]),
+        ({"device": {"charging_energy": 10**400}}, ["run", "--dt", "1e-3"]),
+        ({}, ["gibbs", "--exact", "--temperatures", "nan"]),
+        ({}, ["gibbs", "--exact", "--temperatures", "inf"]),
+    ],
+    ids=["config-nan", "config-int-overflow", "temperature-nan", "temperature-inf"],
+)
+def test_non_finite_values_exit_2(tmp_path, capsys, mapping, argv):
+    # Python's json reads NaN and Infinity, so the config layer must refuse them
+    cfg = _write_config(tmp_path, mapping)
+    out = tmp_path / "o"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_command_leaves_no_output_directory(tmp_path, capsys):
+    # one event cannot give an exponentiated-work mean; the failure comes
+    # after the first temperature's payloads were formed
+    out = tmp_path / "partial"
+    code = main(["gibbs", "--sampled", "--events", "1", "--dt", "1e-3", "--out", str(out)])
+    assert code == 2
+    assert "at least two sampled events" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_config_reader_shared_by_cli_and_loader(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_config(path)
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"cpbsim: {excinfo.value}\n"
 
 
 def test_spectrum_outputs_and_manifest(tmp_path):

@@ -1,0 +1,205 @@
+"""Dual-route checks of the two-point event sampler.
+
+``_reference_draw`` is the sampler as first written, one ``Generator.choice``
+call for the first labels and one per first label for the second labels.
+The counting sampler must read the same random stream: same events, same
+histograms, and the generator left at the same position.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from cpbsim import energy_ladder, gibbs_weights, sample_experiment, sample_work
+from cpbsim.experiment import (
+    EVENT_PARTITION,
+    _cdf,
+    _draw_pairs,
+    _pair_counts,
+    partition_seeds,
+)
+from cpbsim.thermo import _work_grid
+
+SEEDS = (0, 9, 2**63 - 5)
+SUBSPACES = {
+    "5-sorted": (-2, -1, 0, 1, 2),
+    "5-unsorted": (1, -2, 2, 0, -1),
+    "9-sorted": tuple(range(-4, 5)),
+    "9-unsorted": (3, -4, 0, 4, -1, 2, -3, 1, -2),
+}
+TEMPERATURES = (1.0, 30.0)
+
+
+def _reference_draw(rng, initial_probs, columns, size):
+    first = rng.choice(initial_probs.size, size=size, p=initial_probs)
+    second = np.empty(size, dtype=np.int64)
+    for j in range(initial_probs.size):
+        mask = first == j
+        hits = int(mask.sum())
+        if hits:
+            second[mask] = rng.choice(columns.shape[0], size=hits, p=columns[:, j])
+    return first, second
+
+
+def _reference_work_counts(weights, trans, ladder, n_events, seed):
+    """Work histogram and discard count from the per-event reference draw."""
+    cols = np.asarray([trans.index(int(n)) for n in ladder.labels])
+    columns = trans.matrix[:, cols]
+    columns = columns / columns.sum(axis=0, keepdims=True)
+    _values, group = _work_grid(ladder)
+    counts = np.zeros(group.max() + 1, dtype=np.int64)
+    back = np.full(trans.labels.size, -1, dtype=np.int64)
+    back[cols] = np.arange(cols.size)
+    discarded = 0
+    for _start, length, seq in partition_seeds(seed, n_events):
+        first, second = _reference_draw(
+            np.random.default_rng(seq), weights.weights, columns, length
+        )
+        inside = back[second] >= 0
+        discarded += int(length - inside.sum())
+        np.add.at(counts, group[first[inside], back[second[inside]]], 1)
+    return counts, discarded
+
+
+@pytest.fixture(scope="module")
+def transitions(trans_forward, trans_backward):
+    return {"forward": trans_forward, "backward": trans_backward}
+
+
+@pytest.fixture(scope="module")
+def ladders(params, protocol):
+    return {
+        name: energy_ladder(params, protocol, subspace=sub)
+        for name, sub in SUBSPACES.items()
+    }
+
+
+def _ladder_columns(trans, ladder):
+    cols = np.asarray([trans.index(int(n)) for n in ladder.labels])
+    columns = trans.matrix[:, cols]
+    return cols, columns / columns.sum(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("size", (1, 3, 999))
+def test_draw_pairs_and_counts_follow_the_choice_stream(
+    seed, size, transitions, ladders
+):
+    for direction, name, temperature in itertools.product(
+        transitions, SUBSPACES, TEMPERATURES
+    ):
+        trans, ladder = transitions[direction], ladders[name]
+        cols, columns = _ladder_columns(trans, ladder)
+        probs = gibbs_weights(ladder, temperature).weights
+
+        ref_rng = np.random.default_rng(seed)
+        ref_first, ref_second = _reference_draw(ref_rng, probs, columns, size)
+        rng = np.random.default_rng(seed)
+        first, second = _draw_pairs(rng, probs, columns, size)
+        assert np.array_equal(first, ref_first)
+        assert np.array_equal(second, ref_second)
+        assert rng.random() == ref_rng.random()
+
+        rng = np.random.default_rng(seed)
+        counts = _pair_counts(rng, probs, columns, size, cols)
+        expected = np.zeros_like(counts)
+        back = {int(r): k for k, r in enumerate(cols)}
+        for f, s in zip(ref_first, ref_second):
+            if int(s) in back:
+                expected[f, back[int(s)]] += 1
+        assert np.array_equal(counts, expected)
+        assert rng.random() == np.random.default_rng(seed).random(2 * size + 1)[-1]
+
+
+class _FixedUniforms:
+    """Stand-in generator that hands out preset uniforms in order."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        out, self._values = self._values[:size], self._values[size:]
+        assert out.size == size
+        return out
+
+
+def test_pair_counts_on_table_boundaries():
+    # every uniform is a multiple of 1/8, so many sit exactly on a table
+    # entry; choice puts x == cdf[k] into outcome k + 1, and so must counts
+    probs = np.array([0.25, 0.25, 0.5])
+    columns = np.array(
+        [[0.25, 0.5, 0.0], [0.0, 0.0, 0.25], [0.25, 0.5, 0.25], [0.5, 0.0, 0.5]]
+    )
+    u = np.tile(np.arange(8) / 8, 2)
+    stream = np.concatenate((u, np.roll(u, 3)))
+    first, second = _draw_pairs(_FixedUniforms(stream), probs, columns, u.size)
+    for rows in ([3, 0, 2], [1], [0, 1, 2, 3]):
+        rows = np.asarray(rows)
+        counts = _pair_counts(_FixedUniforms(stream), probs, columns, u.size, rows)
+        expected = np.array(
+            [[np.sum((first == j) & (second == r)) for r in rows] for j in range(3)]
+        )
+        assert np.array_equal(counts, expected)
+
+
+# Both sizes above EVENT_PARTITION run for every seed; directions, ladders
+# and temperatures rotate so that each listed value meets a large size.
+LARGE_CASES = [
+    (0, 250_001, "forward", "5-sorted", 1.0),
+    (0, 700_000, "backward", "9-unsorted", 30.0),
+    (9, 250_001, "backward", "5-unsorted", 30.0),
+    (9, 700_000, "forward", "9-sorted", 1.0),
+    (2**63 - 5, 250_001, "forward", "9-unsorted", 30.0),
+    (2**63 - 5, 700_000, "backward", "5-sorted", 1.0),
+]
+
+
+@pytest.mark.parametrize("seed,size,direction,name,temperature", LARGE_CASES)
+def test_sample_work_matches_reference_histogram(
+    seed, size, direction, name, temperature, transitions, ladders
+):
+    assert size > EVENT_PARTITION
+    trans, ladder = transitions[direction], ladders[name]
+    weights = gibbs_weights(ladder, temperature)
+    dist = sample_work(weights, trans, ladder, size, seed)
+    counts, discarded = _reference_work_counts(weights, trans, ladder, size, seed)
+    assert np.array_equal(dist.mass, counts)
+    assert dist.n_discarded == discarded
+    assert dist.n_events == size
+
+
+@pytest.mark.parametrize("n_events", (3, EVENT_PARTITION + 17))
+def test_sample_experiment_matches_reference(preparation, trans_forward, n_events):
+    sample = sample_experiment(preparation, trans_forward, n_events, seed=9)
+    columns = trans_forward.matrix / trans_forward.matrix.sum(axis=0, keepdims=True)
+    probs = preparation.probabilities / preparation.probabilities.sum()
+    parts = [
+        _reference_draw(np.random.default_rng(seq), probs, columns, length)
+        for _start, length, seq in partition_seeds(9, n_events)
+    ]
+    first = np.concatenate([f for f, _s in parts])
+    second = np.concatenate([s for _f, s in parts])
+    n = trans_forward.labels.size
+    counts = np.zeros((n, n), dtype=np.int64)
+    np.add.at(counts, (second, first), 1)
+    assert np.array_equal(sample.first, trans_forward.labels[first])
+    assert np.array_equal(sample.second, trans_forward.labels[second])
+    assert np.array_equal(sample.counts, counts)
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([0.5, np.nan, 0.5], "NaN"),
+        ([0.6, -0.1, 0.5], "non-negative"),
+        ([0.5, 0.5, 1e-6], "sum to 1"),
+    ],
+)
+def test_cdf_rejects_invalid_probabilities(probs, message):
+    with pytest.raises(ValueError, match=message):
+        _cdf(np.array(probs))
+    # the same vectors are refused by the reference route
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(3, size=2, p=np.array(probs))
+
