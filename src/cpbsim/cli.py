@@ -252,12 +252,14 @@ def cmd_gibbs(cfg: RunConfig) -> int:
     ladder = energy_ladder(
         cfg.device, forward, subspace=cfg.subspace, bare=cfg.bare_ladder
     )
+    # weights first: a temperature whose weights underflow fails before
+    # anything is propagated
+    all_weights = [gibbs_weights(ladder, t) for t in cfg.temperatures_k]
     t_fwd = run_protocol(cfg.device, forward, cfg.propagator)
     t_bwd = run_protocol(cfg.device, backward, cfg.propagator)
     out = _OutputSet(Path(cfg.output_dir))
     table = []
-    for ti, temperature in enumerate(cfg.temperatures_k):
-        weights = gibbs_weights(ladder, temperature)
+    for ti, (temperature, weights) in enumerate(zip(cfg.temperatures_k, all_weights)):
         if cfg.mode == EXACT:
             dist_f = work_distribution_exact(weights, t_fwd, ladder)
             dist_b = work_distribution_exact(weights, t_bwd, ladder)

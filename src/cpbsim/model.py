@@ -129,21 +129,30 @@ def build_hamiltonian(params: DeviceParams, bias: BiasPoint) -> np.ndarray:
     return h
 
 
-def gauge_tridiagonal(params: DeviceParams, bias: BiasPoint):
-    """Real symmetric tridiagonal form of the Hamiltonian and its gauge.
+def gauge_tridiagonal(params: DeviceParams, biases):
+    """Real symmetric tridiagonal forms of the Hamiltonian and their gauges.
 
     Every tunneling bond carries the same phase arg E_J, so the diagonal
     gauge D = diag(exp(-i*n*arg E_J)) gives H = D T D^dagger with T real:
     diagonal 4*E_C*(n - n_g)^2 as in :func:`build_hamiltonian`, and -|E_J|/2
-    on both off-diagonals. Returns (diagonal, off-diagonal, gauge), with the
-    off-diagonal and the gauge taken from one ``josephson_energy`` value.
+    on both off-diagonals.
+
+    Takes a sequence of bias points and returns (diagonals, off-diagonals,
+    gauges) with one row per bias point, shaped (instants, N), (instants,
+    N - 1) and (instants, N). Each row's off-diagonal and gauge come from
+    one ``josephson_energy`` value, evaluated per bias point with scalar
+    arithmetic; the rows are then assembled as array operations, with the
+    same floating-point results as a row built on its own.
     """
     n = charge_labels(params).astype(float)
-    ej = josephson_energy(params, bias.flux)
-    diagonal = 4.0 * params.charging_energy * (n - bias.gate_charge) ** 2
-    off = np.full(params.n_charges - 1, -0.5 * abs(ej))
-    gauge = np.exp(-1j * cmath.phase(ej) * n)
-    return diagonal, off, gauge
+    gate = np.array([bias.gate_charge for bias in biases], dtype=float)
+    ejs = [josephson_energy(params, bias.flux) for bias in biases]
+    diagonals = 4.0 * params.charging_energy * (n - gate[:, None]) ** 2
+    half = np.array([-0.5 * abs(ej) for ej in ejs])
+    offs = np.repeat(half[:, None], params.n_charges - 1, axis=1)
+    rates = np.array([-1j * cmath.phase(ej) for ej in ejs])
+    gauges = np.exp(rates[:, None] * n)
+    return diagonals, offs, gauges
 
 
 def time_reverse_hamiltonian(h: np.ndarray) -> np.ndarray:

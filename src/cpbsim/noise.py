@@ -7,6 +7,13 @@ its matrix elements in the instantaneous eigenbasis and by a thermal factor
 of the level gap against the bath temperature. Second, the readout fidelity
 of a charge detector distinguishing adjacent charge states from the induced
 charge on a coupling capacitor.
+
+The matrix elements need no complex eigensolve. The diagonal gauge D of
+:func:`cpbsim.model.gauge_tridiagonal` maps H to a real symmetric
+tridiagonal T, and D commutes with the charge operator n, so the elements
+are those of n between the real eigenvectors of T. Each instant solves only
+the pair (k, k+1) it needs: LAPACK ``dstebz`` bisects for the two
+eigenvalues and ``dstein`` finds their eigenvectors by inverse iteration.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dstebz, dstein
 
 from .drive import sample_drive
 from .model import (
@@ -22,10 +30,10 @@ from .model import (
     BiasPoint,
     DeviceParams,
     beta_ratio,
-    build_hamiltonian,
     charge_labels,
-    eigensystem,
+    gauge_tridiagonal,
 )
+from .propagate import _check_lapack
 
 DEFAULT_BATH_TEMPERATURE = 0.030  # kelvin; typical dilution-fridge operation
 
@@ -102,25 +110,40 @@ def dephasing_ratio(
     factor x*coth(x) with x = gap/(2 k_B T_bath). Degenerate diagonal matrix
     elements mean pure dephasing vanishes; the ratio is then reported as
     +inf and T_2/T_1 saturates at 2.
+
+    The matrix elements come from the real symmetric tridiagonal T of
+    :func:`cpbsim.model.gauge_tridiagonal`, not from the complex H. The
+    gauge D is diagonal, so it commutes with the charge operator n, and
+    with H = D T D^dagger the eigenvectors of H are D s for the real
+    eigenvectors s of T: <k|n|k'> = s_k^T n s_k'. Only the pair (k, k+1) is
+    solved, by LAPACK bisection (``dstebz``) for the two eigenvalues and
+    inverse iteration (``dstein``) for their eigenvectors. The ratio does
+    not depend on the sign of either eigenvector, so none is pinned. A
+    LAPACK failure raises ``numpy.linalg.LinAlgError``.
     """
+    diagonals, offs, _ = gauge_tridiagonal(params, [bias])
+    return _ratio_point(params, bias, diagonals[0], offs[0], t_bath, k, time)
+
+
+def _ratio_point(params, bias, diagonal, off, t_bath, k, time):
+    """:func:`dephasing_ratio` from the tridiagonal form of ``bias``."""
     if t_bath <= 0:
         raise ValueError("bath temperature must be positive")
     if not 0 <= k < params.n_charges - 1:
         raise ValueError("level index k+1 outside the basis")
-    sys = eigensystem(build_hamiltonian(params, bias))
+    energies, states = _level_pair(diagonal, off, k)
     n_values = charge_labels(params).astype(float)
-    lower = sys.states[:, k]
-    upper = sys.states[:, k + 1]
-    off = abs(np.vdot(lower, n_values * upper)) ** 2
-    diag = float(np.real(np.vdot(lower, n_values * lower) - np.vdot(upper, n_values * upper)))
-    gap = float(sys.energies[k + 1] - sys.energies[k])
+    elements = states.T @ (n_values[:, None] * states)
+    off_element = elements[0, 1] ** 2
+    diag = elements[0, 0] - elements[1, 1]
+    gap = energies[1] - energies[0]
     x = gap / (2.0 * KB_OVER_HBAR * t_bath)
     thermal = x / math.tanh(x) if x > 0.0 else 1.0
     denom = diag * diag
     if denom < 1e-24:
         ratio = math.inf
     else:
-        ratio = 4.0 * off / denom * thermal
+        ratio = 4.0 * off_element / denom * thermal
     return DephasingRatioPoint(
         time=time,
         level=k,
@@ -130,6 +153,25 @@ def dephasing_ratio(
     )
 
 
+def _level_pair(diagonal: np.ndarray, off: np.ndarray, k: int):
+    """Eigenvalues k, k+1 (ascending, 0-based) of a real symmetric
+    tridiagonal matrix and their orthonormal eigenvectors as columns."""
+    # range 2 selects eigenvalues by 1-based index il..iu; tolerance 0 is
+    # LAPACK's default (eps times the norm of T). dstein needs them grouped
+    # by split-off block (order "B"), which puts the upper one first where
+    # T splits between the two with the lower one in a later block.
+    count, energies, block, split, info = dstebz(
+        diagonal, off, 2, 0.0, 0.0, k + 1, k + 2, 0.0, "B"
+    )
+    _check_lapack("dstebz", info)
+    if count != 2:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz found {count} eigenvalues, not 2")
+    states, info = dstein(diagonal, off, energies[:2], block, split)
+    _check_lapack("dstein", info)
+    pair = np.argsort(energies[:2], kind="stable")
+    return energies[pair], states[:, pair]
+
+
 def ratio_trace(
     params: DeviceParams,
     protocol,
@@ -137,15 +179,19 @@ def ratio_trace(
     t_bath: float = DEFAULT_BATH_TEMPERATURE,
     k: int = 0,
 ):
-    """Sample the dephasing ratio at n_samples uniform instants."""
+    """Sample the dephasing ratio at n_samples uniform instants.
+
+    The tridiagonal forms of all instants are assembled at once; each
+    instant then solves its level pair as :func:`dephasing_ratio` does.
+    """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     times = np.linspace(0.0, protocol.duration, n_samples)
+    biases = [sample_drive(protocol, float(t)) for t in times]
+    diagonals, offs, _ = gauge_tridiagonal(params, biases)
     return [
-        dephasing_ratio(
-            params, sample_drive(protocol, float(t)), t_bath, k, time=float(t)
-        )
-        for t in times
+        _ratio_point(params, bias, diagonal, off, t_bath, k, float(t))
+        for t, bias, diagonal, off in zip(times, biases, diagonals, offs)
     ]
 
 
@@ -153,11 +199,15 @@ def window_width(points, lower: float, upper: float) -> float:
     """Total protocol time whose T_2/T_1 falls inside [lower, upper].
 
     Counts each sample's surrounding interval; endpoint samples carry half
-    an interval.
+    an interval. The sample times must be increasing and uniformly spaced
+    to a relative 1e-9, as every :func:`ratio_trace` is.
     """
     if len(points) < 2:
         raise ValueError("need at least two trace points")
-    dt = points[1].time - points[0].time
+    steps = np.diff([p.time for p in points])
+    dt = float(steps[0])
+    if not dt > 0.0 or np.max(np.abs(steps - dt)) > 1e-9 * dt:
+        raise ValueError("trace times must increase with uniform spacing")
     width = 0.0
     last = len(points) - 1
     for i, p in enumerate(points):

@@ -8,7 +8,8 @@ duration is not an integer multiple.
 
 Each frozen H is tridiagonal with one phase arg E_J on every bond, so a
 diagonal gauge D makes it a real symmetric tridiagonal T (see
-:func:`cpbsim.model.gauge_tridiagonal`). A step is then
+:func:`cpbsim.model.gauge_tridiagonal`, which assembles the T and D of a
+block of step midpoints in one call). A step is then
 U_step = D S exp(-i E dt) S^T D^dagger with T = S E S^T from LAPACK
 ``dstevd``; S and S^T are applied as real products, and consecutive steps
 share one diagonal gauge change D_new^dagger D_old. :func:`step_unitary`
@@ -27,6 +28,11 @@ from .model import DeviceParams, gauge_tridiagonal
 
 #: Step size (ns) used by the benchmark runs.
 DEFAULT_TIME_STEP = 1e-4
+
+# Steps whose tridiagonal forms are assembled in one call. The assembly
+# holds about 1.6 kB per step at N = 51, so a block keeps evolve's memory
+# independent of the step count.
+_ASSEMBLY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -99,16 +105,18 @@ def evolve(
     # w = D^dagger U in the gauge D of the latest step (D = 1 before the first)
     w = np.eye(params.n_charges, dtype=complex)
     gauge = np.ones(params.n_charges, dtype=complex)
-    for t_mid, step in steps:
-        diagonal, off, new_gauge = gauge_tridiagonal(
-            params, sample_drive(protocol, t_mid)
+    for first in range(0, len(steps), _ASSEMBLY_BLOCK):
+        block = steps[first : first + _ASSEMBLY_BLOCK]
+        rows = gauge_tridiagonal(
+            params, [sample_drive(protocol, t_mid) for t_mid, _ in block]
         )
-        energies, states = _eigh_tridiagonal(diagonal, off)
-        w *= (new_gauge.conj() * gauge)[:, None]
-        w = _real_product(states.T, w)
-        w *= np.exp(-1j * energies * step)[:, None]
-        w = _real_product(states, w)
-        gauge = new_gauge
+        for (_, step), diagonal, off, new_gauge in zip(block, *rows):
+            energies, states = _eigh_tridiagonal(diagonal, off)
+            w *= (new_gauge.conj() * gauge)[:, None]
+            w = _real_product(states.T, w)
+            w *= np.exp(-1j * energies * step)[:, None]
+            w = _real_product(states, w)
+            gauge = new_gauge
     return gauge[:, None] * w
 
 
@@ -146,9 +154,11 @@ def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTr
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     times = np.linspace(0.0, protocol.duration, n_samples)
+    diagonals, offs, _ = gauge_tridiagonal(
+        params, [sample_drive(protocol, float(t)) for t in times]
+    )
     energies = np.empty((n_samples, params.n_charges))
-    for i, t in enumerate(times):
-        diagonal, off, _ = gauge_tridiagonal(params, sample_drive(protocol, float(t)))
+    for i, (diagonal, off) in enumerate(zip(diagonals, offs)):
         levels, info = dsterf(diagonal, off)
         _check_lapack("dsterf", info)
         energies[i] = levels - levels[0]

@@ -200,12 +200,25 @@ def energy_ladder(
 
 
 def gibbs_weights(ladder: EnergyLadder, temperature: float) -> GibbsWeights:
-    """Boltzmann weights exp(-E_n/k_BT) normalized over the ladder labels."""
+    """Boltzmann weights exp(-E_n/k_BT) normalized over the ladder labels.
+
+    Raises ``ValueError`` when a weight underflows to exactly 0: that label
+    would silently drop out of the ensemble and of every work statistic
+    built on it.
+    """
     kt = thermal_energy(temperature)
     shifted = (ladder.energies - ladder.energies.min()) / kt
     raw = np.exp(-shifted)
+    weights = raw / raw.sum()
+    empty = np.flatnonzero(weights == 0.0)
+    if empty.size:
+        raise ValueError(
+            f"Gibbs weight of label {int(ladder.labels[empty[0]])} underflows "
+            f"to 0 at {temperature:g} K; raise the temperature or narrow the "
+            "subspace"
+        )
     return GibbsWeights(
-        temperature=temperature, labels=ladder.labels, weights=raw / raw.sum()
+        temperature=temperature, labels=ladder.labels, weights=weights
     )
 
 

@@ -75,6 +75,17 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gibbs_refuses_underflowing_weights(tmp_path, capsys):
+    # at 1 mK the Boltzmann weights of labels 0, 1 and 2 underflow to 0,
+    # which used to drop them from the exact exponentiated-work sum
+    out = tmp_path / "cold"
+    code = main(["gibbs", "--exact", "--temperatures", "1e-3", "--dt", "1e-3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "label 0 underflows to 0 at 0.001 K" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
 def test_config_reader_shared_by_cli_and_loader(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

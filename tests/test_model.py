@@ -18,7 +18,7 @@ from cpbsim import (
     josephson_energy,
     time_reverse_hamiltonian,
 )
-from cpbsim.model import label_index
+from cpbsim.model import gauge_tridiagonal, label_index
 
 BIAS = BiasPoint(flux=0.5, gate_charge=-1.95)
 
@@ -165,3 +165,23 @@ def test_charge_operator_diagonal(params):
     q = charge_operator(params)
     assert np.array_equal(np.diag(q), charge_labels(params).astype(float))
     assert np.count_nonzero(q - np.diag(np.diag(q))) == 0
+
+
+def test_gauge_tridiagonal_rows_match_one_row_assembly():
+    # the batched rows must be the one-row assembly to the bit, and
+    # D T D^dagger must rebuild the dense H of each bias point
+    rng = np.random.default_rng(77)
+    params = DeviceParams(asymmetry=0.3, n_charges=11)
+    biases = [BiasPoint(flux=f, gate_charge=g) for f, g in rng.uniform(-1.0, 1.0, (40, 2))]
+    biases += [BiasPoint(0.5, 0.5), BiasPoint(-0.5, -1.0), BiasPoint(0.0, 0.0)]
+    diagonals, offs, gauges = gauge_tridiagonal(params, biases)
+    assert diagonals.shape == gauges.shape == (len(biases), params.n_charges)
+    assert offs.shape == (len(biases), params.n_charges - 1)
+    for i, bias in enumerate(biases):
+        one = gauge_tridiagonal(params, [bias])
+        for batched, single in zip((diagonals, offs, gauges), one):
+            assert batched[i].tobytes() == single[0].tobytes()
+        t = np.diag(diagonals[i]) + np.diag(offs[i], 1) + np.diag(offs[i], -1)
+        h = build_hamiltonian(params, bias)
+        rebuilt = gauges[i][:, None] * t * gauges[i].conj()[None, :]
+        np.testing.assert_allclose(rebuilt, h, rtol=0, atol=1e-12 * np.max(np.abs(h)))

@@ -4,16 +4,38 @@ import numpy as np
 import pytest
 
 from cpbsim import (
+    KB_OVER_HBAR,
     BiasPoint,
+    DephasingRatioPoint,
     DetectorParams,
     DeviceParams,
+    build_hamiltonian,
+    charge_labels,
     dephasing_ratio,
     detector_distinguishability,
+    eigensystem,
     fidelity_loss_bound,
     kolmogorov_distance_quadrature,
     ratio_trace,
     window_width,
 )
+from cpbsim import noise
+from cpbsim.cli import main
+
+
+def _dense_ratio(params, bias, k, t_bath=noise.DEFAULT_BATH_TEMPERATURE):
+    """Reference route: T_phi/T_1 from the phase-pinned dense eigensystem of
+    the complex H, and the level energies it used."""
+    sys = eigensystem(build_hamiltonian(params, bias))
+    n_values = charge_labels(params).astype(float)
+    lower = sys.states[:, k]
+    upper = sys.states[:, k + 1]
+    off = abs(np.vdot(lower, n_values * upper)) ** 2
+    diag = float(np.real(np.vdot(lower, n_values * lower) - np.vdot(upper, n_values * upper)))
+    x = (sys.energies[k + 1] - sys.energies[k]) / (2.0 * KB_OVER_HBAR * t_bath)
+    thermal = x / math.tanh(x) if x > 0.0 else 1.0
+    ratio = math.inf if diag * diag < 1e-24 else 4.0 * off / (diag * diag) * thermal
+    return ratio, sys.energies
 
 
 def test_t2_identity_holds_along_trace(params, protocol):
@@ -126,3 +148,86 @@ def test_beta_reported_along_trace(params, protocol):
     points = ratio_trace(params, protocol, n_samples=11)
     start = points[0]
     assert start.beta == pytest.approx(0.05 * 10.0 / 12.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_dephasing_ratio_matches_dense_route(k):
+    # Seeded random devices, with E_J = 0, asymmetry 0 and N = 5 among them,
+    # and biases that include flux +-1/2, where arg E_J jumps by pi at
+    # asymmetry 0. Bound: 1e-8 relative plus 1e-19 absolute (a T_2/T_1 of
+    # 2e-19 is zero for every use). Measured on these cases: 7.1e-13
+    # (k = 0), 3.9e-12 (k = 1) and 5.8e-10 (k = 3) relative for ratios
+    # above 1e-12. Below that the coupling element is at roundoff in both
+    # routes; the largest absolute gap there is 7.2e-22. The closest case
+    # uses 0.7% of the bound.
+    rng = np.random.default_rng(4100 + k)
+    compared = 0
+    for case in range(24):
+        params = DeviceParams(
+            charging_energy=2 * np.pi * rng.uniform(1.0, 5.0),
+            josephson_energy_total=0.0 if case % 6 == 1 else 2 * np.pi * rng.uniform(0.5, 15.0),
+            asymmetry=0.0 if case % 6 == 0 else rng.uniform(0.0, 1.0),
+            n_charges=int(rng.choice([5, 11, 15, 51])),
+        )
+        for j in range(12):
+            flux = (0.5, -0.5)[j % 2] if j < 4 else rng.uniform(-1.0, 1.0)
+            gate = rng.uniform(-3.0, 3.0)
+            if case % 6 == 1 and j == 4:
+                gate = 0.5  # charge degeneracy without tunneling: skipped
+            bias = BiasPoint(flux=flux, gate_charge=gate)
+            reference, energies = _dense_ratio(params, bias, k)
+            # a gap at roundoff around the pair leaves both routes free to
+            # pick any basis of the degenerate levels
+            levels = energies[max(k - 1, 0) : k + 3]
+            if np.min(np.diff(levels)) < 1e-9 * np.max(np.abs(energies)):
+                continue
+            point = dephasing_ratio(params, bias, k=k)
+            assert point.level == k
+            if math.isinf(reference):
+                assert math.isinf(point.tphi_over_t1)
+                continue
+            assert abs(point.tphi_over_t1 - reference) <= 1e-8 * reference + 1e-19
+            compared += 1
+    assert compared > 250
+
+
+@pytest.mark.parametrize(
+    "result, message",
+    [((2, 1), "info = 1"), ((1, 0), "found 1 eigenvalues")],
+    ids=["info", "count"],
+)
+def test_level_pair_failure_raises_and_noise_exits_2(
+    monkeypatch, tmp_path, params, result, message
+):
+    count, info = result
+
+    def failing_dstebz(d, e, *args):
+        blocks = np.ones(d.size, dtype=np.int32)
+        return count, np.zeros(d.size), blocks, np.zeros_like(blocks), info
+
+    monkeypatch.setattr(noise, "dstebz", failing_dstebz)
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        dephasing_ratio(params, BiasPoint(flux=0.25, gate_charge=-1.95))
+    out = tmp_path / "noise"
+    assert main(["noise", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_window_width_rejects_non_uniform_trace(params, protocol):
+    def trace(times):
+        return [DephasingRatioPoint(t, 0, 0.04, 0.02, 0.0) for t in times]
+
+    uniform = np.linspace(0.0, 0.4, 5)
+    assert window_width(trace(uniform), 0.0, 1.0) == pytest.approx(0.4)
+    for times in (
+        [0.0, 0.1, 0.2, 0.35, 0.4],
+        uniform * (1.0 + np.array([0.0, 0.0, 0.0, 0.0, 1e-8])),
+        uniform[::-1],
+        np.zeros(5),
+    ):
+        with pytest.raises(ValueError, match="uniform spacing"):
+            window_width(trace(times), 0.0, 1.0)
+    # a real trace, at a sample count where linspace's spacing wobbles most
+    assert window_width(ratio_trace(params, protocol, 997), 0.0, 2.0) == pytest.approx(
+        protocol.duration
+    )

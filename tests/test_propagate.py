@@ -137,6 +137,15 @@ def test_evolve_matches_dense_route_on_random_protocols(case):
         assert unitarity_defect(u) < 1e-13
 
 
+def test_evolve_assembly_blocks_do_not_change_u(monkeypatch, params, protocol):
+    # the tridiagonal forms are assembled a block of steps at a time; the
+    # block size must not change a bit of U, remainder step included
+    window = (0.1, 0.1 + 0.2 / 3.0)
+    u = evolve(params, protocol, COARSE, *window)
+    monkeypatch.setattr(propagate, "_ASSEMBLY_BLOCK", 7)
+    assert np.array_equal(evolve(params, protocol, COARSE, *window), u)
+
+
 def test_evolve_lapack_failure_raises_and_exits_2(monkeypatch, tmp_path, params, protocol):
     def failing_dstevd(diagonal, off):
         return diagonal, np.eye(diagonal.size), 1
