@@ -22,7 +22,6 @@ from .drive import (
     FORWARD,
     DriveProtocol,
     TabulatedProtocol,
-    Waveform,
     default_protocol,
     load_waveform_table,
 )
@@ -76,10 +75,10 @@ def _float(name: str, value: Any) -> float:
     return number
 
 
-def _int(name: str, value: Any, minimum: int) -> int:
+def _int(name: str, value: Any, minimum: Optional[int] = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"config key {name!r} must be an integer")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"config key {name!r} must be >= {minimum}")
     return int(value)
 
@@ -96,64 +95,21 @@ def _str(name: str, value: Any) -> str:
     return value
 
 
-def _waveform(name: str, data: Any, default: Waveform) -> Waveform:
+def _fields(name: str, data: Any, ref):
+    """Copy of dataclass instance ``ref`` with the keys of section ``name``.
+
+    A field with an int default is read by :func:`_int`, any other by
+    :func:`_float`; the dataclass itself validates the values.
+    """
     sec = _Section(name, data)
-    wave = Waveform(
-        offset=_float(f"{name}.offset", sec.take("offset", default.offset)),
-        amplitude=_float(
-            f"{name}.amplitude", sec.take("amplitude", default.amplitude)
-        ),
-        frequency=_float(
-            f"{name}.frequency", sec.take("frequency", default.frequency)
-        ),
-        phase=_float(f"{name}.phase", sec.take("phase", default.phase)),
-    )
+    values = {}
+    for f in dataclasses.fields(ref):
+        default = getattr(ref, f.name)
+        read = _int if isinstance(default, int) else _float
+        values[f.name] = read(f"{name}.{f.name}", sec.take(f.name, default))
+    out = dataclasses.replace(ref, **values)
     sec.close()
-    return wave
-
-
-def _device(data: Any) -> DeviceParams:
-    sec = _Section("device", data)
-    ref = DeviceParams()
-    params = DeviceParams(
-        charging_energy=_float(
-            "device.charging_energy",
-            sec.take("charging_energy", ref.charging_energy),
-        ),
-        josephson_energy_total=_float(
-            "device.josephson_energy_total",
-            sec.take("josephson_energy_total", ref.josephson_energy_total),
-        ),
-        asymmetry=_float("device.asymmetry", sec.take("asymmetry", ref.asymmetry)),
-        n_charges=_int("device.n_charges", sec.take("n_charges", ref.n_charges), 3),
-    )
-    sec.close()
-    return params
-
-
-def _detector(data: Any) -> DetectorParams:
-    sec = _Section("detector", data)
-    ref = DetectorParams()
-    det = DetectorParams(
-        charge_sensitivity=_float(
-            "detector.charge_sensitivity",
-            sec.take("charge_sensitivity", ref.charge_sensitivity),
-        ),
-        measurement_time=_float(
-            "detector.measurement_time",
-            sec.take("measurement_time", ref.measurement_time),
-        ),
-        island_capacitance=_float(
-            "detector.island_capacitance",
-            sec.take("island_capacitance", ref.island_capacitance),
-        ),
-        coupling_capacitance=_float(
-            "detector.coupling_capacitance",
-            sec.take("coupling_capacitance", ref.coupling_capacitance),
-        ),
-    )
-    sec.close()
-    return det
+    return out
 
 
 def _protocol(data: Any):
@@ -167,8 +123,8 @@ def _protocol(data: Any):
     if family == "cosine":
         ref = default_protocol()
         duration = _float("protocol.duration", sec.take("duration", ref.duration))
-        flux = _waveform("protocol.flux", sec.take("flux", {}), ref.flux)
-        gate = _waveform("protocol.gate", sec.take("gate", {}), ref.gate)
+        flux = _fields("protocol.flux", sec.take("flux", {}), ref.flux)
+        gate = _fields("protocol.gate", sec.take("gate", {}), ref.gate)
         sec.close()
         protocol = DriveProtocol(
             flux=flux,
@@ -255,12 +211,7 @@ class RunConfig:
                 "invert_flux": self.protocol.invert_flux,
             }
         return {
-            "device": {
-                "charging_energy": self.device.charging_energy,
-                "josephson_energy_total": self.device.josephson_energy_total,
-                "asymmetry": self.device.asymmetry,
-                "n_charges": self.device.n_charges,
-            },
+            "device": dataclasses.asdict(self.device),
             "protocol": proto,
             "propagator": {"time_step": self.propagator.time_step},
             "subspace": "all" if self.subspace == "all" else list(self.subspace),
@@ -271,12 +222,7 @@ class RunConfig:
             "bare_ladder": self.bare_ladder,
             "microrev_tolerance": self.microrev_tolerance,
             "bath_temperature_k": self.bath_temperature_k,
-            "detector": {
-                "charge_sensitivity": self.detector.charge_sensitivity,
-                "measurement_time": self.detector.measurement_time,
-                "island_capacitance": self.detector.island_capacitance,
-                "coupling_capacitance": self.detector.coupling_capacitance,
-            },
+            "detector": dataclasses.asdict(self.detector),
             "spectrum_samples": self.spectrum_samples,
             "trace_samples": self.trace_samples,
             "output_dir": self.output_dir,
@@ -286,7 +232,7 @@ class RunConfig:
 def config_from_mapping(data: Mapping) -> RunConfig:
     """Build a validated RunConfig; unknown keys raise ValueError."""
     sec = _Section("config", data)
-    device = _device(sec.take("device", {}))
+    device = _fields("device", sec.take("device", {}), DeviceParams())
     protocol, table_path = _protocol(sec.take("protocol", {}))
     prop_sec = _Section("propagator", sec.take("propagator", {}))
     propagator = PropagatorConfig(
@@ -322,7 +268,7 @@ def config_from_mapping(data: Mapping) -> RunConfig:
     )
     if bath <= 0.0:
         raise ValueError("bath_temperature_k must be positive")
-    detector = _detector(sec.take("detector", {}))
+    detector = _fields("detector", sec.take("detector", {}), DetectorParams())
     spectrum_samples = _int(
         "spectrum_samples", sec.take("spectrum_samples", DEFAULT_SAMPLE_POINTS), 2
     )

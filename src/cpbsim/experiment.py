@@ -68,36 +68,18 @@ class PreparationEnsemble:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    """One two-point event: charge labels from the pre- and post-measurement."""
-
-    event: int
-    first: int
-    second: int
-    direction: str
-
-
-@dataclass(frozen=True)
 class ExperimentSample:
-    """Seeded batch of two-point events, stored as label arrays."""
+    """Seeded batch of two-point events, stored as outcome counts.
 
-    first: np.ndarray
-    second: np.ndarray
+    ``counts[m_idx, n_idx]`` is the number of events with first label
+    ``labels[n_idx]`` and second label ``labels[m_idx]``.
+    """
+
+    counts: np.ndarray = field(repr=False)
     labels: np.ndarray
     direction: str
     seed: int
-    counts: np.ndarray = field(repr=False)
-
-    @property
-    def n_events(self) -> int:
-        return self.first.size
-
-    def records(self):
-        """Materialize per-event records (meant for small batches)."""
-        return [
-            MeasurementRecord(i, int(n), int(m), self.direction)
-            for i, (n, m) in enumerate(zip(self.first, self.second))
-        ]
+    n_events: int
 
 
 @dataclass(frozen=True)
@@ -222,42 +204,21 @@ def _count_below(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(x < t) for t in thresholds], dtype=np.int64)
 
 
-def _draw_pairs(rng, initial_probs, columns, size):
-    """Two-point draw: initial index from ``initial_probs``, final index from
-    the matching column of ``columns``.
+def _pair_counts(rng, initial_probs, columns, size, rows):
+    """Two-point event histogram restricted to final indices ``rows``.
 
-    Stream contract: the result and the generator's final state equal those
+    ``counts[j, k]`` is the number of events with initial index j, drawn from
+    ``initial_probs``, and final index ``rows[k]``, drawn from column j of
+    ``columns``.
+
+    Stream contract: the counts and the generator's final state equal those
     of ``first = rng.choice(n, size, p=initial_probs)`` followed by one
     ``rng.choice(m, hits_j, p=columns[:, j])`` per initial index j with
     hits, in increasing j. That is one block ``u`` of ``size`` uniforms for
     the first indices, then a block ``v`` of ``size`` uniforms consumed label
-    by label, in event order within a label.
-    """
-    u = rng.random(size)
-    v = rng.random(size)
-    n = initial_probs.size
-    first = _cdf(initial_probs).searchsorted(u, side="right")
-    # stable radix sort on the narrowest key that holds every label index
-    order = np.argsort(first.astype(np.min_scalar_type(n - 1)), kind="stable")
-    stops = np.cumsum(np.bincount(first, minlength=n))
-    second = np.empty(size, dtype=np.int64)
-    start = 0
-    for j, stop in enumerate(stops):
-        if stop > start:
-            picks = _cdf(columns[:, j]).searchsorted(v[start:stop], side="right")
-            second[order[start:stop]] = picks
-        start = stop
-    return first, second
-
-
-def _pair_counts(rng, initial_probs, columns, size, rows):
-    """Histogram of :func:`_draw_pairs` restricted to final indices ``rows``.
-
-    ``counts[j, k]`` is the number of events with initial index j and final
-    index ``rows[k]``; the stream read is the same as :func:`_draw_pairs`,
-    so the counts are exactly those of its event arrays. No per-event label
-    array is built: outcome k of a table c is hit by #{x < c[k]} - #{x <
-    c[k-1]} uniforms, exact integer arithmetic on comparison counts.
+    by label. No per-event label array is built: outcome k of a table c is
+    hit by #{x < c[k]} - #{x < c[k-1]} uniforms, exact integer arithmetic on
+    comparison counts.
     """
     u = rng.random(size)
     v = rng.random(size)
@@ -278,23 +239,32 @@ def _pair_counts(rng, initial_probs, columns, size, rows):
     return counts
 
 
+def _sample_pair_counts(seed, n_events, initial_probs, columns, rows):
+    """:func:`_pair_counts` summed over the seeded partitions of ``n_events``.
+
+    Each partition of :func:`partition_seeds` gets its own generator, so the
+    result does not depend on how partitions would be scheduled.
+    """
+    counts = np.zeros((initial_probs.size, rows.size), dtype=np.int64)
+    for _start, length, seq in partition_seeds(seed, n_events):
+        rng = np.random.default_rng(seq)
+        counts += _pair_counts(rng, initial_probs, columns, length, rows)
+    return counts
+
+
 def sample_experiment(
     prep: PreparationEnsemble,
     trans: TransitionMatrix,
     n_events: int,
     seed: int,
 ) -> ExperimentSample:
-    """Draw seeded two-point measurement events.
+    """Count seeded two-point measurement events.
 
     The first outcome follows the preparation distribution, the second the
-    matching transition-matrix column. Events are generated in fixed-size
-    partitions with seeds derived from (seed, partition index) and merged in
-    order, so results do not depend on how partitions would be scheduled.
-
-    Stream contract: each partition's generator is read exactly as by
-    ``Generator.choice`` drawing all first labels, then the second labels of
-    each first label in label order (see :func:`_draw_pairs`), so a fixed
-    seed gives the same events as that loop of ``choice`` calls.
+    matching transition-matrix column. Events are counted in seeded
+    fixed-size partitions (:func:`_sample_pair_counts`), and the counts are
+    those of the events that ``Generator.choice`` would draw from each
+    partition's generator (see :func:`_pair_counts`).
     """
     if n_events <= 0:
         raise ValueError("n_events must be positive")
@@ -302,22 +272,14 @@ def sample_experiment(
         raise ValueError("preparation and transition matrix bases differ")
     columns = trans.matrix / trans.matrix.sum(axis=0, keepdims=True)
     probs = prep.probabilities / prep.probabilities.sum()
-    first = np.empty(n_events, dtype=np.int64)
-    second = np.empty(n_events, dtype=np.int64)
-    for start, length, seq in partition_seeds(seed, n_events):
-        rng = np.random.default_rng(seq)
-        f, s = _draw_pairs(rng, probs, columns, length)
-        first[start : start + length] = f
-        second[start : start + length] = s
-    n = trans.labels.size
-    counts = np.bincount(second * n + first, minlength=n * n).reshape(n, n)
+    rows = np.arange(trans.labels.size)
+    counts = _sample_pair_counts(seed, n_events, probs, columns, rows)
     return ExperimentSample(
-        first=trans.labels[first],
-        second=trans.labels[second],
+        counts=counts.T,
         labels=trans.labels,
         direction=trans.direction,
         seed=seed,
-        counts=counts,
+        n_events=n_events,
     )
 
 

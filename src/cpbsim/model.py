@@ -83,14 +83,6 @@ def charge_labels(params: DeviceParams) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
-def label_index(params: DeviceParams, label: int) -> int:
-    """Row/column index of charge label ``label``."""
-    half = (params.n_charges - 1) // 2
-    if not -half <= label <= half:
-        raise ValueError(f"charge label {label} outside truncation +-{half}")
-    return int(label) + half
-
-
 def josephson_energy(params: DeviceParams, flux: float) -> complex:
     """Complex flux-tunable tunneling energy.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import sample_drive
-from .experiment import TransitionMatrix, partition_seeds, _pair_counts
+from .experiment import TransitionMatrix, _sample_pair_counts
 from .model import (
     DEFAULT_SUBSPACE,
     KB_OVER_HBAR,
@@ -297,14 +297,9 @@ def sample_work(
 
     First label Boltzmann-drawn on the subspace, second from the matching
     transition-matrix column over the full basis; events leaking out of the
-    subspace are discarded and counted. Partitioned seeding as in
-    :func:`cpbsim.experiment.sample_experiment`.
-
-    Stream contract: each partition's generator is read exactly as if the
-    events were drawn with ``Generator.choice``, first labels for the whole
-    partition and then second labels grouped by first label in ladder order,
-    so the counts equal a histogram of those event draws. Only the counts
-    are formed; no per-event label array is built.
+    subspace are discarded and counted. Partitions, seeds and the random
+    stream are those of :func:`cpbsim.experiment.sample_experiment`, with
+    first labels indexed in ladder order.
     """
     if n_events < 1:
         raise ValueError("n_events must be positive")
@@ -314,10 +309,7 @@ def sample_work(
     columns = trans.matrix[:, cols]
     columns = columns / columns.sum(axis=0, keepdims=True)
     # pairs[i, j]: events with first ladder index i and second ladder index j
-    pairs = np.zeros((cols.size, cols.size), dtype=np.int64)
-    for _start, length, seq in partition_seeds(seed, n_events):
-        rng = np.random.default_rng(seq)
-        pairs += _pair_counts(rng, weights.weights, columns, length, cols)
+    pairs = _sample_pair_counts(seed, n_events, weights.weights, columns, cols)
     values, group = _work_grid(ladder)
     counts = np.zeros(values.size, dtype=np.int64)
     np.add.at(counts, group, pairs)

@@ -34,6 +34,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_charges", [1, 3])
+def test_device_rule_is_the_config_rule(tmp_path, capsys, n_charges):
+    cfg = _write_config(tmp_path, {"device": {"n_charges": n_charges}})
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert "n_charges must be odd and >= 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["spectrum", "--config", str(tmp_path / "nope.json")])
     assert code == 2
@@ -149,6 +158,25 @@ def test_run_sampled_counts(tmp_path):
     counts = np.array([[int(c) for c in row[1:]] for row in rows[1:]])
     assert counts.sum() == 2000
     assert _read_json(out / "run_report.json")["events"] == 2000
+
+
+# counts.csv of `run --sampled --dt 1e-3 --events 250017`: the events cross
+# a partition boundary, and the payload holds only integers
+SAMPLED_COUNTS_SHA256 = {
+    "11": "aaaa57c238fb86b0b01d62e1aeb30050ea2b9e82f1254eaec9c0af0633fd6eb5",
+    "20260814": "8a683d0a4bd4cbcf8ebacce53bcef4a5c1bb7906a2d5a7144b2f571560de87d4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLED_COUNTS_SHA256))
+def test_run_sampled_counts_bytes_are_pinned(tmp_path, seed):
+    out = tmp_path / "runs"
+    code = main(["run", "--dt", "1e-3", "--sampled", "--events", "250017",
+                 "--seed", seed, "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256((out / "counts.csv").read_bytes()).hexdigest()
+    assert digest == SAMPLED_COUNTS_SHA256[seed]
+    assert _read_json(out / "manifest.json")["outputs"]["counts.csv"] == digest
 
 
 def test_run_propagates_once(tmp_path, monkeypatch):

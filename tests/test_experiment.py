@@ -121,7 +121,6 @@ def test_sample_experiment_reproducible(preparation, trans_forward):
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
     assert a.counts.sum() == a.n_events == 2000
-    assert a.first.size == a.second.size == 2000
 
 
 def test_sample_experiment_marginals_match_preparation(preparation, trans_forward):
@@ -133,15 +132,6 @@ def test_sample_experiment_marginals_match_preparation(preparation, trans_forwar
         freq = first_counts[labels.index(lab)] / n
         sigma = np.sqrt(p * (1.0 - p) / n)
         assert abs(freq - p) < 5.0 * sigma
-
-
-def test_sample_experiment_records(preparation, trans_forward):
-    sample = sample_experiment(preparation, trans_forward, 50, seed=3)
-    records = sample.records()
-    assert len(records) == 50
-    assert records[0].event == 0
-    assert all(r.direction == FORWARD for r in records)
-    assert all(-25 <= r.first <= 25 and -25 <= r.second <= 25 for r in records)
 
 
 def test_sample_experiment_validation(preparation, trans_forward):

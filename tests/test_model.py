@@ -18,7 +18,7 @@ from cpbsim import (
     josephson_energy,
     time_reverse_hamiltonian,
 )
-from cpbsim.model import gauge_tridiagonal, label_index
+from cpbsim.model import gauge_tridiagonal
 
 BIAS = BiasPoint(flux=0.5, gate_charge=-1.95)
 
@@ -34,14 +34,6 @@ def test_charge_labels_centered(params):
     assert labels.size == params.n_charges
     assert labels[0] == -25 and labels[-1] == 25
     assert np.array_equal(labels, -labels[::-1])
-
-
-def test_label_index_roundtrip(params):
-    labels = charge_labels(params)
-    for n in (-25, -2, 0, 2, 25):
-        assert labels[label_index(params, n)] == n
-    with pytest.raises(ValueError):
-        label_index(params, 26)
 
 
 @pytest.mark.parametrize(
