@@ -45,11 +45,9 @@ from .model import (
     beta_ratio,
     build_hamiltonian,
     charge_labels,
-    charge_operator,
     eigensystem,
     hermiticity_defect,
     josephson_energy,
-    time_reverse_hamiltonian,
 )
 from .noise import (
     DephasingRatioPoint,
@@ -57,7 +55,6 @@ from .noise import (
     DetectorReport,
     dephasing_ratio,
     detector_distinguishability,
-    fidelity_loss_bound,
     kolmogorov_distance_quadrature,
     ratio_trace,
     window_width,
@@ -65,7 +62,6 @@ from .noise import (
 from .propagate import (
     PropagatorConfig,
     SpectrumTrace,
-    convergence_estimate,
     evolve,
     spectrum_trace,
     step_unitary,
@@ -85,73 +81,3 @@ from .thermo import (
     thermal_energy,
     work_distribution_exact,
 )
-
-__all__ = [
-    "__version__",
-    "BACKWARD",
-    "BKEqualityResult",
-    "BKRatioRecord",
-    "BiasPoint",
-    "DEFAULT_DURATION",
-    "DEFAULT_SUBSPACE",
-    "DephasingRatioPoint",
-    "DetectorParams",
-    "DetectorReport",
-    "DeviceParams",
-    "DriveProtocol",
-    "EigenSystem",
-    "EnergyLadder",
-    "ExperimentSample",
-    "FORWARD",
-    "GibbsWeights",
-    "KB_OVER_HBAR",
-    "MicrorevReport",
-    "PreparationEnsemble",
-    "PropagatorConfig",
-    "RunConfig",
-    "SpectrumTrace",
-    "TabulatedProtocol",
-    "TransitionMatrix",
-    "Waveform",
-    "WorkDistribution",
-    "beta_ratio",
-    "bk_equality",
-    "bk_ratio_check",
-    "build_hamiltonian",
-    "charge_labels",
-    "charge_operator",
-    "config_from_mapping",
-    "convergence_estimate",
-    "default_protocol",
-    "dephasing_ratio",
-    "derive_seed",
-    "detector_distinguishability",
-    "eigensystem",
-    "energy_ladder",
-    "evolve",
-    "fidelity_loss_bound",
-    "gibbs_weights",
-    "hermiticity_defect",
-    "josephson_energy",
-    "kolmogorov_distance_quadrature",
-    "load_config",
-    "load_waveform_table",
-    "microrev_deviation",
-    "partition_seeds",
-    "prepare_ensemble",
-    "ratio_trace",
-    "reverse_protocol",
-    "run_protocol",
-    "sample_drive",
-    "sample_experiment",
-    "sample_work",
-    "spectrum_trace",
-    "step_unitary",
-    "stochasticity_defect",
-    "thermal_energy",
-    "time_reverse_hamiltonian",
-    "transition_matrix",
-    "unitarity_defect",
-    "window_width",
-    "work_distribution_exact",
-]

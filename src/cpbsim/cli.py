@@ -6,8 +6,8 @@ a manifest (config echo, tool version, timestamp, seed, sha256 per file).
 Payload bytes depend only on config and seed; the timestamp is confined
 to the manifest so repeat runs stay byte-identical.
 
-Exit codes: 0 success, 2 validation failure, 3 a physics threshold
-(currently the microreversibility tolerance) was exceeded.
+Exit codes: 0 success, 2 validation, I/O or numerical failure, 3 a physics
+threshold (currently the microreversibility tolerance) was exceeded.
 """
 
 from __future__ import annotations
@@ -123,6 +123,8 @@ class _OutputSet:
         self.payloads: dict = {}
 
     def write(self, name: str, text: str) -> None:
+        if name in self.payloads:
+            raise ValueError(f"two outputs of this run are named {name}")
         self.payloads[name] = text.encode("utf-8")
 
     def manifest(self, cfg: RunConfig) -> None:
@@ -438,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--exact", action="store_true", help="deterministic distributions"
     )
     mode.add_argument(
-        "--sampled", action="store_true", help="Monte Carlo event records"
+        "--sampled", action="store_true", help="Monte Carlo event counts"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, text in (
@@ -464,8 +466,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(cfg)
-    except (OSError, ValueError) as exc:
-        print(f"cpbsim: {exc}", file=sys.stderr)
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"cpbsim: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -27,7 +27,7 @@ from .drive import (
 )
 from .model import DEFAULT_SUBSPACE, DeviceParams
 from .noise import DEFAULT_BATH_TEMPERATURE, DetectorParams
-from .propagate import DEFAULT_TIME_STEP, PropagatorConfig
+from .propagate import PropagatorConfig
 from .thermo import EXACT, SAMPLED
 
 DEFAULT_TEMPERATURES_K = (1.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -213,7 +213,7 @@ class RunConfig:
         return {
             "device": dataclasses.asdict(self.device),
             "protocol": proto,
-            "propagator": {"time_step": self.propagator.time_step},
+            "propagator": dataclasses.asdict(self.propagator),
             "subspace": "all" if self.subspace == "all" else list(self.subspace),
             "temperatures_k": list(self.temperatures_k),
             "events": self.events,
@@ -234,13 +234,7 @@ def config_from_mapping(data: Mapping) -> RunConfig:
     sec = _Section("config", data)
     device = _fields("device", sec.take("device", {}), DeviceParams())
     protocol, table_path = _protocol(sec.take("protocol", {}))
-    prop_sec = _Section("propagator", sec.take("propagator", {}))
-    propagator = PropagatorConfig(
-        time_step=_float(
-            "propagator.time_step", prop_sec.take("time_step", DEFAULT_TIME_STEP)
-        )
-    )
-    prop_sec.close()
+    propagator = _fields("propagator", sec.take("propagator", {}), PropagatorConfig())
     subspace = _subspace(sec.take("subspace", list(DEFAULT_SUBSPACE)))
     raw_temps = sec.take("temperatures_k", list(DEFAULT_TEMPERATURES_K))
     if not isinstance(raw_temps, (list, tuple)) or not raw_temps:

@@ -90,6 +90,9 @@ class TabulatedProtocol:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("waveform table needs at least two samples")
+        columns = (t, self.flux_values, self.gate_values)
+        if not all(np.isfinite(np.asarray(c, dtype=float)).all() for c in columns):
+            raise ValueError("waveform table values must be finite")
         if t[0] != 0.0:
             raise ValueError("waveform table must start at t = 0")
         if np.any(np.diff(t) <= 0.0):

@@ -41,9 +41,6 @@ class TransitionMatrix:
     labels: np.ndarray
     direction: str
 
-    def column(self, label: int) -> np.ndarray:
-        return self.matrix[:, self.index(label)]
-
     def index(self, label: int) -> int:
         offset = int(self.labels[0])
         idx = int(label) - offset

@@ -147,16 +147,6 @@ def gauge_tridiagonal(params: DeviceParams, biases):
     return diagonals, offs, gauges
 
 
-def time_reverse_hamiltonian(h: np.ndarray) -> np.ndarray:
-    """Antiunitary time-reversal image of ``h`` in the charge basis.
-
-    The basis states are invariant under time reversal with unit phase, so
-    the operation is plain elementwise conjugation (equivalently, transpose
-    for a Hermitian matrix). Involutive to the bit.
-    """
-    return np.conj(h)
-
-
 def hermiticity_defect(h: np.ndarray) -> float:
     """Largest elementwise magnitude of H - H^dagger."""
     return float(np.max(np.abs(h - h.conj().T)))
@@ -182,8 +172,3 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
     nonzero = mag > 0.0
     pin[nonzero] = lead[nonzero].conjugate() / mag[nonzero]
     return EigenSystem(energies=energies, states=states * pin)
-
-
-def charge_operator(params: DeviceParams) -> np.ndarray:
-    """Island charge-number operator (diagonal in the charge basis)."""
-    return np.diag(charge_labels(params).astype(float))

@@ -37,9 +37,6 @@ from .propagate import _check_lapack
 
 DEFAULT_BATH_TEMPERATURE = 0.030  # kelvin; typical dilution-fridge operation
 
-#: Pessimistic relaxation-time floor (ns) for fidelity-loss bounds.
-DEFAULT_T1_NS = 50.0
-
 
 @dataclass(frozen=True)
 class DephasingRatioPoint:
@@ -261,23 +258,3 @@ def kolmogorov_distance_quadrature(det: DetectorParams) -> float:
     right, _ = quad(integrand, 0.5 * delta, hi, limit=200)
     return 0.5 * (left + right)
 
-
-def fidelity_loss_bound(points, t1_ns: float = DEFAULT_T1_NS):
-    """Pessimistic protocol-fidelity losses 1 - exp(-integral dt/T).
-
-    Holds T_1 at the supplied floor for the whole protocol (the actual
-    relaxation time is much longer away from the avoided crossings), so both
-    numbers are coarse upper bounds, not reproductions.
-    """
-    if t1_ns <= 0:
-        raise ValueError("t1_ns must be positive")
-    times = np.asarray([p.time for p in points])
-    t2_ratio = np.asarray([p.t2_over_t1 for p in points])
-    if np.any(t2_ratio <= 0):
-        raise ValueError("T_2/T_1 must be positive along the trace")
-    relax = np.trapezoid(np.full_like(times, 1.0 / t1_ns), times)
-    dephase = np.trapezoid(1.0 / (t1_ns * t2_ratio), times)
-    return {
-        "relaxation": 1.0 - math.exp(-relax),
-        "dephasing": 1.0 - math.exp(-dephase),
-    }

@@ -164,15 +164,3 @@ def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTr
         energies[i] = levels - levels[0]
     return SpectrumTrace(times=times, energies=energies)
 
-
-def convergence_estimate(
-    params: DeviceParams, protocol, config: PropagatorConfig
-) -> float:
-    """Largest transition-probability drift when the step size is halved.
-
-    Compares |U|^2 entries between runs at ``time_step`` and ``time_step/2``;
-    a self-consistency error estimate for the integrator.
-    """
-    coarse = np.abs(evolve(params, protocol, config)) ** 2
-    fine = np.abs(evolve(params, protocol, PropagatorConfig(config.time_step / 2))) ** 2
-    return float(np.max(np.abs(coarse - fine)))

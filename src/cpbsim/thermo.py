@@ -52,15 +52,6 @@ class EnergyLadder:
     overlaps: np.ndarray
     bare: bool = False
 
-    def index(self, label: int) -> int:
-        hits = np.flatnonzero(self.labels == label)
-        if hits.size != 1:
-            raise ValueError(f"label {label} not in ladder")
-        return int(hits[0])
-
-    def energy(self, label: int) -> float:
-        return float(self.energies[self.index(label)])
-
 
 @dataclass(frozen=True)
 class GibbsWeights:

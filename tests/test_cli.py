@@ -95,6 +95,59 @@ def test_gibbs_refuses_underflowing_weights(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ([1], "config section 'propagator' must be a JSON object"),
+        ({"time_step": "1e-4"}, "config key 'propagator.time_step' must be a number"),
+        ({"time_step": True}, "config key 'propagator.time_step' must be a number"),
+        ({"time_step": None}, "config key 'propagator.time_step' must be a number"),
+        ({"time_step": math.nan}, "config key 'propagator.time_step' must be finite"),
+        ({"time_step": 0.0}, "time_step must be positive"),
+        ({"step": 1e-4}, "unknown config key(s) in propagator: ['step']"),
+    ],
+    ids=["not-object", "string", "bool", "null", "nan", "zero", "unknown-key"],
+)
+def test_malformed_propagator_messages(section, message):
+    with pytest.raises(ValueError) as excinfo:
+        config_from_mapping({"propagator": section})
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("temperatures", ["10,10", "10,10.0000001"])
+def test_colliding_output_names_exit_2(tmp_path, capsys, temperatures):
+    # both temperatures format as T10K, so their work files share a name
+    out = tmp_path / "o"
+    code = main(["gibbs", "--exact", "--dt", "1e-3", "--temperatures", temperatures,
+                 "--out", str(out)])
+    assert code == 2
+    assert "work_forward_T10K.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 14.6 TiB"), "Unable to allocate 14.6 TiB"),
+        (MemoryError(), "MemoryError"),
+        (OverflowError("math range error"), "math range error"),
+        (FloatingPointError("overflow encountered"), "overflow encountered"),
+        (ZeroDivisionError("float division by zero"), "float division by zero"),
+    ],
+    ids=["MemoryError", "MemoryError-bare", "OverflowError", "FloatingPointError",
+         "ZeroDivisionError"],
+)
+def test_numeric_errors_exit_2(tmp_path, capsys, monkeypatch, error, line):
+    def failing_evolve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cpbsim.cli, "evolve", failing_evolve)
+    out = tmp_path / "o"
+    assert main(["run", "--dt", "1e-3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cpbsim: {line}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
 def test_config_reader_shared_by_cli_and_loader(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
@@ -322,6 +375,18 @@ def test_waveform_table_rejects_duration(tmp_path):
         {"protocol": {"family": "table", "table_path": str(table), "duration": 1.0}},
     )
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_waveform_table_rejects_nan_cell(tmp_path, capsys):
+    table = tmp_path / "wave.csv"
+    table.write_text("t_ns,flux_phi0,n_g\n0,0.5,-1.95\n0.25,nan,-1.95\n0.5,0.5,-1.95\n")
+    cfg = _write_config(
+        tmp_path, {"protocol": {"family": "table", "table_path": str(table)}}
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--dt", "1e-3", "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_changes_sampled_output(tmp_path):

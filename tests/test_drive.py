@@ -161,6 +161,24 @@ def test_tabulated_protocol_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [("flux_values", math.nan), ("gate_values", math.inf), ("times", math.nan)],
+    ids=["flux-nan", "gate-inf", "time-nan"],
+)
+def test_tabulated_protocol_rejects_non_finite(column, value):
+    # a NaN time also passes the increasing-times check, since every
+    # comparison with NaN is false
+    table = {
+        "times": np.array([0.0, 0.1, 0.2]),
+        "flux_values": np.zeros(3),
+        "gate_values": np.zeros(3),
+    }
+    table[column][1] = value
+    with pytest.raises(ValueError, match="must be finite"):
+        TabulatedProtocol(**table)
+
+
 def test_tabulated_protocol_interpolates(protocol):
     times = np.linspace(0.0, protocol.duration, 2001)
     table = TabulatedProtocol(

@@ -29,7 +29,7 @@ def test_transition_matrix_is_doubly_stochastic(trans_forward):
 
 
 def test_transition_matrix_column_lookup(trans_forward):
-    col = trans_forward.column(0)
+    col = trans_forward.matrix[:, trans_forward.index(0)]
     assert col.sum() == pytest.approx(1.0, abs=1e-12)
     assert col is not None and col.size == trans_forward.labels.size
     with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from cpbsim import (
     dephasing_ratio,
     detector_distinguishability,
     eigensystem,
-    fidelity_loss_bound,
     kolmogorov_distance_quadrature,
     ratio_trace,
     window_width,
@@ -128,20 +127,6 @@ def test_detector_validation():
         DetectorParams(island_capacitance=0.0)
     with pytest.raises(ValueError):
         DetectorParams(coupling_capacitance=-0.1)
-
-
-def test_fidelity_loss_bounds(params, protocol):
-    points = ratio_trace(params, protocol, n_samples=201)
-    losses = fidelity_loss_bound(points, t1_ns=50.0)
-    assert set(losses) == {"relaxation", "dephasing"}
-    # relaxation bound is exactly 1 - exp(-duration/T1)
-    assert losses["relaxation"] == pytest.approx(
-        1.0 - math.exp(-protocol.duration / 50.0)
-    )
-    assert 0.0 < losses["dephasing"] < 1.0
-    assert losses["dephasing"] > losses["relaxation"]
-    with pytest.raises(ValueError):
-        fidelity_loss_bound(points, t1_ns=0.0)
 
 
 def test_beta_reported_along_trace(params, protocol):

@@ -33,9 +33,7 @@ def test_ladder_is_clean_bijection(ladder):
     assert np.all(ladder.overlaps > 0.999)
     assert not ladder.bare
     # gate starts at -1.95, so n = -2 sits at the bottom of the parabola
-    assert ladder.energy(-2) == ladder.energies.min()
-    with pytest.raises(ValueError):
-        ladder.index(99)
+    assert ladder.energies[ladder.labels == -2][0] == ladder.energies.min()
 
 
 def test_bare_ladder_is_charging_parabola(params, protocol):
