@@ -46,6 +46,7 @@ from .noise import (
 from .propagate import evolve, spectrum_trace
 from .thermo import (
     EXACT,
+    SAMPLED,
     bk_equality,
     bk_ratio_check,
     energy_ladder,
@@ -254,14 +255,21 @@ def cmd_gibbs(cfg: RunConfig) -> int:
     ladder = energy_ladder(
         cfg.device, forward, subspace=cfg.subspace, bare=cfg.bare_ladder
     )
-    # weights first: a temperature whose weights underflow fails before
-    # anything is propagated
+    # weights and file tags first: a temperature whose weights underflow,
+    # or whose tag repeats an earlier one, fails before anything is propagated
     all_weights = [gibbs_weights(ladder, t) for t in cfg.temperatures_k]
+    tags = [f"T{t:g}K" for t in cfg.temperatures_k]
+    for ti, tag in enumerate(tags):
+        if tag in tags[:ti]:
+            name = f"work_forward_{tag}.csv"
+            raise ValueError(f"two outputs of this run are named {name}")
     t_fwd = run_protocol(cfg.device, forward, cfg.propagator)
     t_bwd = run_protocol(cfg.device, backward, cfg.propagator)
     out = _OutputSet(Path(cfg.output_dir))
     table = []
-    for ti, (temperature, weights) in enumerate(zip(cfg.temperatures_k, all_weights)):
+    for ti, (temperature, weights, tag) in enumerate(
+        zip(cfg.temperatures_k, all_weights, tags)
+    ):
         if cfg.mode == EXACT:
             dist_f = work_distribution_exact(weights, t_fwd, ladder)
             dist_b = work_distribution_exact(weights, t_bwd, ladder)
@@ -274,7 +282,6 @@ def cmd_gibbs(cfg: RunConfig) -> int:
                 weights, t_bwd, ladder, cfg.events, derive_seed(cfg.seed, ti, 1)
             )
             value_header = "count"
-        tag = f"T{temperature:g}K"
         for dist, name in ((dist_f, "forward"), (dist_b, "backward")):
             rows = [["W_rad_per_ns", value_header]] + [
                 [w, v] for w, v in zip(dist.values, dist.mass)
@@ -370,41 +377,30 @@ def cmd_noise(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _nested(mapping: dict, key: str) -> dict:
-    section = mapping.setdefault(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {key!r} must be a JSON object")
-    return section
+_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def _merge_overrides(mapping: dict, args: argparse.Namespace) -> dict:
+    """``mapping`` with each given flag's value at the dotted key its dest names."""
     merged = copy.deepcopy(mapping)
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.events is not None:
-        merged["events"] = args.events
-    if args.dt is not None:
-        _nested(merged, "propagator")["time_step"] = args.dt
-    if args.duration is not None:
-        _nested(merged, "protocol")["duration"] = args.duration
-    if args.temperatures is not None:
-        tokens = [tok.strip() for tok in args.temperatures.split(",") if tok.strip()]
-        if not tokens:
-            raise ValueError("--temperatures needs a comma-separated kelvin list")
-        try:
-            merged["temperatures_k"] = [float(tok) for tok in tokens]
-        except ValueError:
-            raise ValueError(f"bad --temperatures value: {args.temperatures!r}") from None
-    if args.no_flux_inversion:
-        _nested(merged, "protocol")["invert_flux"] = False
-    if args.no_time_mirror:
-        _nested(merged, "protocol")["mirror_time"] = False
-    if args.exact:
-        merged["mode"] = "exact"
-    if args.sampled:
-        merged["mode"] = "sampled"
-    if args.out is not None:
-        merged["output_dir"] = args.out
+    for dest, value in vars(args).items():
+        if value is None or dest.split(".")[0] not in _KEYS:
+            continue
+        if dest == "temperatures_k":
+            tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
+            if not tokens:
+                raise ValueError("--temperatures needs a comma-separated kelvin list")
+            try:
+                value = [float(tok) for tok in tokens]
+            except ValueError:
+                raise ValueError(f"bad --temperatures value: {value!r}") from None
+        *sections, key = dest.split(".")
+        target = merged
+        for name in sections:
+            target = target.setdefault(name, {})
+            if not isinstance(target, dict):
+                raise ValueError(f"config section {name!r} must be a JSON object")
+        target[key] = value
     return merged
 
 
@@ -415,33 +411,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, default=None, help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
-    common.add_argument("--events", type=int, default=None, help="Monte Carlo events")
-    common.add_argument("--dt", type=float, default=None, help="propagator step (ns)")
+    # each override's dest is the config key it sets; see _merge_overrides
+    common.add_argument("--seed", dest="seed", type=int, help="RNG seed (u64)")
+    common.add_argument("--events", dest="events", type=int, help="Monte Carlo events")
     common.add_argument(
-        "--duration", type=float, default=None, help="protocol duration (ns)"
+        "--dt", dest="propagator.time_step", type=float, help="propagator step (ns)"
     )
     common.add_argument(
-        "--temperatures", default=None, help="comma-separated kelvin list"
+        "--duration",
+        dest="protocol.duration",
+        type=float,
+        help="protocol duration (ns)",
     )
     common.add_argument(
-        "--no-flux-inversion",
-        action="store_true",
-        help="negative control: reversed protocol keeps the forward flux sign",
+        "--temperatures", dest="temperatures_k", help="comma-separated kelvin list"
     )
-    common.add_argument(
-        "--no-time-mirror",
-        action="store_true",
-        help="negative control: reversed protocol keeps the forward clock",
-    )
-    common.add_argument("--out", default=None, help="output directory")
+    for flag, key, kept in (
+        ("--no-flux-inversion", "protocol.invert_flux", "flux sign"),
+        ("--no-time-mirror", "protocol.mirror_time", "clock"),
+    ):
+        common.add_argument(
+            flag,
+            dest=key,
+            action="store_false",
+            default=None,
+            help=f"negative control: reversed protocol keeps the forward {kept}",
+        )
+    common.add_argument("--out", dest="output_dir", help="output directory")
     mode = common.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exact", action="store_true", help="deterministic distributions"
-    )
-    mode.add_argument(
-        "--sampled", action="store_true", help="Monte Carlo event counts"
-    )
+    for flag, const, text in (
+        ("--exact", EXACT, "deterministic distributions"),
+        ("--sampled", SAMPLED, "Monte Carlo event counts"),
+    ):
+        mode.add_argument(
+            flag, dest="mode", action="store_const", const=const, help=text
+        )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, text in (
         ("spectrum", cmd_spectrum, "instantaneous eigenenergies along the drive"),

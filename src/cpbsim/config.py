@@ -13,12 +13,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple, Union
 
 from .drive import (
     BACKWARD,
-    DEFAULT_DURATION,
     FORWARD,
     DriveProtocol,
     TabulatedProtocol,
@@ -30,12 +29,7 @@ from .noise import DEFAULT_BATH_TEMPERATURE, DetectorParams
 from .propagate import PropagatorConfig
 from .thermo import EXACT, SAMPLED
 
-DEFAULT_TEMPERATURES_K = (1.0, 10.0, 20.0, 30.0, 40.0, 50.0)
-DEFAULT_EVENTS = 1_000_000
 DEFAULT_SEED = 20260814
-DEFAULT_OUTPUT_DIR = "runs"
-DEFAULT_SAMPLE_POINTS = 667
-DEFAULT_MICROREV_TOLERANCE = 1e-3
 
 
 class _Section:
@@ -95,25 +89,50 @@ def _str(name: str, value: Any) -> str:
     return value
 
 
-def _fields(name: str, data: Any, ref):
+def _floats(name: str, value: Any) -> Tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty list")
+    return tuple(_float(f"{name} entry", v) for v in value)
+
+
+def _reader(default: Any):
+    """Reader of a key whose default is ``default``, chosen by its type."""
+    if isinstance(default, bool):
+        return _bool
+    if isinstance(default, int):
+        return _int
+    if isinstance(default, float):
+        return _float
+    if isinstance(default, str):
+        return _str
+    if isinstance(default, tuple):
+        return _floats
+    return lambda name, value: _fields(name, value, default)
+
+
+def _fields(name: str, data: Any, ref, prefix: Optional[str] = None):
     """Copy of dataclass instance ``ref`` with the keys of section ``name``.
 
-    A field with an int default is read by :func:`_int`, any other by
-    :func:`_float`; the dataclass itself validates the values.
+    An absent key keeps ``ref``'s value. A present one is read by the
+    ``read`` entry of the field's metadata, else by :func:`_reader` of
+    ``ref``'s value, and named ``prefix + key`` (``prefix`` defaults to
+    ``name + "."``); the dataclass itself validates the values.
     """
     sec = _Section(name, data)
+    if prefix is None:
+        prefix = f"{name}."
     values = {}
     for f in dataclasses.fields(ref):
-        default = getattr(ref, f.name)
-        read = _int if isinstance(default, int) else _float
-        values[f.name] = read(f"{name}.{f.name}", sec.take(f.name, default))
+        if sec.has(f.name):
+            read = f.metadata.get("read") or _reader(getattr(ref, f.name))
+            values[f.name] = read(prefix + f.name, sec.take(f.name, None))
     out = dataclasses.replace(ref, **values)
     sec.close()
     return out
 
 
-def _protocol(data: Any):
-    sec = _Section("protocol", data)
+def _protocol(name: str, data: Any):
+    sec = _Section(name, data)
     family = _str("protocol.family", sec.take("family", "cosine"))
     direction = _str("protocol.direction", sec.take("direction", FORWARD))
     if direction not in (FORWARD, BACKWARD):
@@ -126,7 +145,7 @@ def _protocol(data: Any):
         flux = _fields("protocol.flux", sec.take("flux", {}), ref.flux)
         gate = _fields("protocol.gate", sec.take("gate", {}), ref.gate)
         sec.close()
-        protocol = DriveProtocol(
+        return DriveProtocol(
             flux=flux,
             gate=gate,
             duration=duration,
@@ -134,7 +153,6 @@ def _protocol(data: Any):
             mirror_time=mirror_time,
             invert_flux=invert_flux,
         )
-        return protocol, None
     if family == "table":
         if not sec.has("table_path"):
             raise ValueError("protocol.family 'table' requires protocol.table_path")
@@ -143,22 +161,34 @@ def _protocol(data: Any):
             raise ValueError("a waveform table defines its own duration")
         if sec.has("flux") or sec.has("gate"):
             raise ValueError("waveform tables do not take flux/gate sections")
-        sec.take("duration", None)
-        sec.take("flux", None)
-        sec.take("gate", None)
         sec.close()
-        table = load_waveform_table(path)
-        protocol = dataclasses.replace(
-            table,
+        return dataclasses.replace(
+            load_waveform_table(path),
             direction=direction,
             mirror_time=mirror_time,
             invert_flux=invert_flux,
         )
-        return protocol, path
     raise ValueError("protocol.family must be 'cosine' or 'table'")
 
 
-def _subspace(value: Any) -> Union[Tuple[int, ...], str]:
+def _protocol_echo(protocol) -> dict:
+    switches = {
+        "direction": protocol.direction,
+        "mirror_time": protocol.mirror_time,
+        "invert_flux": protocol.invert_flux,
+    }
+    if isinstance(protocol, TabulatedProtocol):
+        return {"family": "table", "table_path": protocol.path, **switches}
+    return {
+        "family": "cosine",
+        "duration": protocol.duration,
+        **switches,
+        "flux": dataclasses.asdict(protocol.flux),
+        "gate": dataclasses.asdict(protocol.gate),
+    }
+
+
+def _subspace(name: str, value: Any) -> Union[Tuple[int, ...], str]:
     if value == "all":
         return "all"
     if not isinstance(value, (list, tuple)) or not value:
@@ -169,126 +199,75 @@ def _subspace(value: Any) -> Union[Tuple[int, ...], str]:
     return labels
 
 
+def _echo(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run settings for the command-line front end."""
+    """Run settings for the command-line front end, one field per config key.
 
-    device: DeviceParams
-    protocol: Union[DriveProtocol, TabulatedProtocol]
-    propagator: PropagatorConfig
-    subspace: Union[Tuple[int, ...], str]
-    temperatures_k: Tuple[float, ...]
-    events: int
-    seed: int
-    mode: str
-    bare_ladder: bool
-    microrev_tolerance: float
-    bath_temperature_k: float
-    detector: DetectorParams
-    spectrum_samples: int
-    trace_samples: int
-    output_dir: str
-    table_path: Optional[str] = None
+    The defaults are the reference device and drive, so ``RunConfig()`` is
+    the config of an empty JSON object. Each key is read by the type of its
+    default (see :func:`_reader`) unless its metadata names a reader, and
+    echoed by :meth:`resolved` the same way.
+    """
+
+    device: DeviceParams = DeviceParams()
+    protocol: Union[DriveProtocol, TabulatedProtocol] = field(
+        default=default_protocol(),
+        metadata={"read": _protocol, "echo": _protocol_echo},
+    )
+    propagator: PropagatorConfig = PropagatorConfig()
+    subspace: Union[Tuple[int, ...], str] = field(
+        default=DEFAULT_SUBSPACE, metadata={"read": _subspace}
+    )
+    temperatures_k: Tuple[float, ...] = (1.0, 10.0, 20.0, 30.0, 40.0, 50.0)
+    events: int = 1_000_000
+    seed: int = DEFAULT_SEED
+    mode: str = SAMPLED
+    bare_ladder: bool = False
+    microrev_tolerance: float = 1e-3
+    bath_temperature_k: float = DEFAULT_BATH_TEMPERATURE
+    detector: DetectorParams = DetectorParams()
+    spectrum_samples: int = 667
+    trace_samples: int = 667
+    output_dir: str = "runs"
+
+    def __post_init__(self) -> None:
+        if any(t <= 0.0 for t in self.temperatures_k):
+            raise ValueError("temperatures_k entries must be positive")
+        if self.events < 1:
+            raise ValueError("config key 'events' must be >= 1")
+        if self.seed < 0:
+            raise ValueError("config key 'seed' must be >= 0")
+        if self.seed >= 2**64:
+            raise ValueError("seed must fit in 64 bits")
+        if self.mode not in (EXACT, SAMPLED):
+            raise ValueError("mode must be 'exact' or 'sampled'")
+        if self.microrev_tolerance <= 0.0:
+            raise ValueError("microrev_tolerance must be positive")
+        if self.bath_temperature_k <= 0.0:
+            raise ValueError("bath_temperature_k must be positive")
+        for key in ("spectrum_samples", "trace_samples"):
+            if getattr(self, key) < 2:
+                raise ValueError(f"config key {key!r} must be >= 2")
 
     def resolved(self) -> dict:
         """Defaults-applied echo; re-ingesting it reproduces this config."""
-        if self.table_path is None:
-            proto: dict = {
-                "family": "cosine",
-                "duration": self.protocol.duration,
-                "direction": self.protocol.direction,
-                "mirror_time": self.protocol.mirror_time,
-                "invert_flux": self.protocol.invert_flux,
-                "flux": dataclasses.asdict(self.protocol.flux),
-                "gate": dataclasses.asdict(self.protocol.gate),
-            }
-        else:
-            proto = {
-                "family": "table",
-                "table_path": self.table_path,
-                "direction": self.protocol.direction,
-                "mirror_time": self.protocol.mirror_time,
-                "invert_flux": self.protocol.invert_flux,
-            }
         return {
-            "device": dataclasses.asdict(self.device),
-            "protocol": proto,
-            "propagator": dataclasses.asdict(self.propagator),
-            "subspace": "all" if self.subspace == "all" else list(self.subspace),
-            "temperatures_k": list(self.temperatures_k),
-            "events": self.events,
-            "seed": self.seed,
-            "mode": self.mode,
-            "bare_ladder": self.bare_ladder,
-            "microrev_tolerance": self.microrev_tolerance,
-            "bath_temperature_k": self.bath_temperature_k,
-            "detector": dataclasses.asdict(self.detector),
-            "spectrum_samples": self.spectrum_samples,
-            "trace_samples": self.trace_samples,
-            "output_dir": self.output_dir,
+            f.name: f.metadata.get("echo", _echo)(getattr(self, f.name))
+            for f in dataclasses.fields(self)
         }
 
 
 def config_from_mapping(data: Mapping) -> RunConfig:
     """Build a validated RunConfig; unknown keys raise ValueError."""
-    sec = _Section("config", data)
-    device = _fields("device", sec.take("device", {}), DeviceParams())
-    protocol, table_path = _protocol(sec.take("protocol", {}))
-    propagator = _fields("propagator", sec.take("propagator", {}), PropagatorConfig())
-    subspace = _subspace(sec.take("subspace", list(DEFAULT_SUBSPACE)))
-    raw_temps = sec.take("temperatures_k", list(DEFAULT_TEMPERATURES_K))
-    if not isinstance(raw_temps, (list, tuple)) or not raw_temps:
-        raise ValueError("temperatures_k must be a non-empty list")
-    temperatures = tuple(_float("temperatures_k entry", t) for t in raw_temps)
-    if any(t <= 0.0 for t in temperatures):
-        raise ValueError("temperatures_k entries must be positive")
-    events = _int("events", sec.take("events", DEFAULT_EVENTS), 1)
-    seed = _int("seed", sec.take("seed", DEFAULT_SEED), 0)
-    if seed >= 2**64:
-        raise ValueError("seed must fit in 64 bits")
-    mode = _str("mode", sec.take("mode", SAMPLED))
-    if mode not in (EXACT, SAMPLED):
-        raise ValueError("mode must be 'exact' or 'sampled'")
-    bare_ladder = _bool("bare_ladder", sec.take("bare_ladder", False))
-    microrev_tolerance = _float(
-        "microrev_tolerance",
-        sec.take("microrev_tolerance", DEFAULT_MICROREV_TOLERANCE),
-    )
-    if microrev_tolerance <= 0.0:
-        raise ValueError("microrev_tolerance must be positive")
-    bath = _float(
-        "bath_temperature_k",
-        sec.take("bath_temperature_k", DEFAULT_BATH_TEMPERATURE),
-    )
-    if bath <= 0.0:
-        raise ValueError("bath_temperature_k must be positive")
-    detector = _fields("detector", sec.take("detector", {}), DetectorParams())
-    spectrum_samples = _int(
-        "spectrum_samples", sec.take("spectrum_samples", DEFAULT_SAMPLE_POINTS), 2
-    )
-    trace_samples = _int(
-        "trace_samples", sec.take("trace_samples", DEFAULT_SAMPLE_POINTS), 2
-    )
-    output_dir = _str("output_dir", sec.take("output_dir", DEFAULT_OUTPUT_DIR))
-    sec.close()
-    return RunConfig(
-        device=device,
-        protocol=protocol,
-        propagator=propagator,
-        subspace=subspace,
-        temperatures_k=temperatures,
-        events=events,
-        seed=seed,
-        mode=mode,
-        bare_ladder=bare_ladder,
-        microrev_tolerance=microrev_tolerance,
-        bath_temperature_k=bath,
-        detector=detector,
-        spectrum_samples=spectrum_samples,
-        trace_samples=trace_samples,
-        output_dir=output_dir,
-        table_path=table_path,
-    )
+    return _fields("config", data, RunConfig(), prefix="")
 
 
 def read_mapping(path) -> dict:

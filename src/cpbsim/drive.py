@@ -14,6 +14,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -75,7 +76,8 @@ class TabulatedProtocol:
 
     ``times`` must start at 0, increase strictly, and define the duration
     through the last entry. Shares the sampling and reversal semantics of
-    :class:`DriveProtocol`.
+    :class:`DriveProtocol`. ``path`` names the file the table was read from,
+    if any, for the config echo.
     """
 
     times: np.ndarray
@@ -84,6 +86,7 @@ class TabulatedProtocol:
     direction: str = FORWARD
     mirror_time: bool = True
     invert_flux: bool = True
+    path: Optional[str] = None
 
     def __post_init__(self) -> None:
         _check_direction(self.direction)
@@ -170,5 +173,5 @@ def load_waveform_table(path) -> TabulatedProtocol:
         raise ValueError(f"{path}: waveform table needs at least two samples")
     data = np.asarray(rows, dtype=float)
     return TabulatedProtocol(
-        times=data[:, 0], flux_values=data[:, 1], gate_values=data[:, 2]
+        times=data[:, 0], flux_values=data[:, 1], gate_values=data[:, 2], path=str(path)
     )

@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -9,7 +10,7 @@ import pytest
 import cpbsim.cli
 import cpbsim.experiment
 from cpbsim.cli import main
-from cpbsim.config import config_from_mapping, load_config
+from cpbsim.config import RunConfig, config_from_mapping, load_config
 
 
 def _write_config(tmp_path, mapping, name="config.json"):
@@ -95,23 +96,220 @@ def test_gibbs_refuses_underflowing_weights(tmp_path, capsys):
     assert not out.exists()
 
 
+def _assert_refused(mapping, message):
+    with pytest.raises(ValueError) as excinfo:
+        config_from_mapping(mapping)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize(
-    "section, message",
+    "mapping, message",
     [
-        ([1], "config section 'propagator' must be a JSON object"),
-        ({"time_step": "1e-4"}, "config key 'propagator.time_step' must be a number"),
-        ({"time_step": True}, "config key 'propagator.time_step' must be a number"),
-        ({"time_step": None}, "config key 'propagator.time_step' must be a number"),
-        ({"time_step": math.nan}, "config key 'propagator.time_step' must be finite"),
-        ({"time_step": 0.0}, "time_step must be positive"),
-        ({"step": 1e-4}, "unknown config key(s) in propagator: ['step']"),
+        ({"propagator": [1]}, "config section 'propagator' must be a JSON object"),
+        ({"propagator": {"time_step": "1e-4"}},
+         "config key 'propagator.time_step' must be a number"),
+        ({"propagator": {"time_step": True}},
+         "config key 'propagator.time_step' must be a number"),
+        ({"propagator": {"time_step": None}},
+         "config key 'propagator.time_step' must be a number"),
+        ({"propagator": {"time_step": math.nan}},
+         "config key 'propagator.time_step' must be finite"),
+        ({"propagator": {"time_step": 0.0}}, "time_step must be positive"),
+        ({"propagator": {"step": 1e-4}},
+         "unknown config key(s) in propagator: ['step']"),
     ],
     ids=["not-object", "string", "bool", "null", "nan", "zero", "unknown-key"],
 )
-def test_malformed_propagator_messages(section, message):
+def test_malformed_propagator_messages(mapping, message):
+    _assert_refused(mapping, message)
+
+
+# one wrong type and one wrong value per top-level key (propagator above);
+# bare_ladder and output_dir accept every value of their type
+MALFORMED_CONFIGS = {
+    "device-type": ({"device": [1]}, "config section 'device' must be a JSON object"),
+    "device-value": ({"device": {"n_charges": 4}}, "n_charges must be odd and >= 5"),
+    "protocol-type": (
+        {"protocol": "cosine"}, "config section 'protocol' must be a JSON object"
+    ),
+    "protocol-value": (
+        {"protocol": {"direction": "sideways"}},
+        "protocol.direction must be 'forward' or 'backward'",
+    ),
+    "subspace-type": (
+        {"subspace": 3}, "subspace must be 'all' or a non-empty list of labels"
+    ),
+    "subspace-value": ({"subspace": [1, 1]}, "subspace labels must be distinct"),
+    "temperatures_k-type": (
+        {"temperatures_k": 10}, "temperatures_k must be a non-empty list"
+    ),
+    "temperatures_k-value": (
+        {"temperatures_k": [10, -1]}, "temperatures_k entries must be positive"
+    ),
+    "events-type": ({"events": 1.5}, "config key 'events' must be an integer"),
+    "events-value": ({"events": 0}, "config key 'events' must be >= 1"),
+    "seed-type": ({"seed": "x"}, "config key 'seed' must be an integer"),
+    "seed-value": ({"seed": -1}, "config key 'seed' must be >= 0"),
+    "seed-value-64bit": ({"seed": 2**64}, "seed must fit in 64 bits"),
+    "mode-type": ({"mode": 1}, "config key 'mode' must be a string"),
+    "mode-value": ({"mode": "both"}, "mode must be 'exact' or 'sampled'"),
+    "bare_ladder-type": (
+        {"bare_ladder": 1}, "config key 'bare_ladder' must be true or false"
+    ),
+    "microrev_tolerance-type": (
+        {"microrev_tolerance": "1e-3"},
+        "config key 'microrev_tolerance' must be a number",
+    ),
+    "microrev_tolerance-value": (
+        {"microrev_tolerance": 0}, "microrev_tolerance must be positive"
+    ),
+    "bath_temperature_k-type": (
+        {"bath_temperature_k": True}, "config key 'bath_temperature_k' must be a number"
+    ),
+    "bath_temperature_k-value": (
+        {"bath_temperature_k": -0.03}, "bath_temperature_k must be positive"
+    ),
+    "detector-type": (
+        {"detector": "x"}, "config section 'detector' must be a JSON object"
+    ),
+    "detector-value": (
+        {"detector": {"measurement_time": 0}},
+        "sensitivity and measurement time must be positive",
+    ),
+    "spectrum_samples-type": (
+        {"spectrum_samples": 2.0}, "config key 'spectrum_samples' must be an integer"
+    ),
+    "spectrum_samples-value": (
+        {"spectrum_samples": 1}, "config key 'spectrum_samples' must be >= 2"
+    ),
+    "trace_samples-type": (
+        {"trace_samples": 2.0}, "config key 'trace_samples' must be an integer"
+    ),
+    "trace_samples-value": (
+        {"trace_samples": 1}, "config key 'trace_samples' must be >= 2"
+    ),
+    "output_dir-type": ({"output_dir": 1}, "config key 'output_dir' must be a string"),
+    "unknown-key": (
+        {"bogus": 1, "mode": "exact"}, "unknown config key(s) in config: ['bogus']"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mapping, message", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys()
+)
+def test_malformed_config_messages(mapping, message):
+    _assert_refused(mapping, message)
+
+
+def test_default_config_is_the_empty_mapping():
+    assert RunConfig() == config_from_mapping({})
+
+
+# config_from_mapping({}).resolved(), written out
+DEFAULT_ECHO = {
+    "device": {
+        "charging_energy": 18.84955592153876,
+        "josephson_energy_total": 62.83185307179586,
+        "asymmetry": 0.05,
+        "n_charges": 51,
+    },
+    "protocol": {
+        "family": "cosine",
+        "duration": 0.6666666666666666,
+        "direction": "forward",
+        "mirror_time": True,
+        "invert_flux": True,
+        "flux": {"offset": 0.0, "amplitude": 0.5, "frequency": 1.5, "phase": 0.0},
+        "gate": {"offset": 0.05, "amplitude": -2.0, "frequency": 1.5, "phase": 0.0},
+    },
+    "propagator": {"time_step": 0.0001},
+    "subspace": [-2, -1, 0, 1, 2],
+    "temperatures_k": [1.0, 10.0, 20.0, 30.0, 40.0, 50.0],
+    "events": 1000000,
+    "seed": 20260814,
+    "mode": "sampled",
+    "bare_ladder": False,
+    "microrev_tolerance": 0.001,
+    "bath_temperature_k": 0.03,
+    "detector": {
+        "charge_sensitivity": 1.7e-06,
+        "measurement_time": 20.0,
+        "island_capacitance": 6.5,
+        "coupling_capacitance": 0.2,
+    },
+    "spectrum_samples": 667,
+    "trace_samples": 667,
+    "output_dir": "runs",
+}
+
+
+def _overrides(mapping, flags):
+    args = cpbsim.cli.build_parser().parse_args(["run", *flags])
+    return cpbsim.cli._merge_overrides(mapping, args)
+
+
+@pytest.mark.parametrize(
+    "mapping, flags, change",
+    [
+        ({}, ["--seed", "11"], {"seed": 11}),
+        ({}, ["--events", "250017"], {"events": 250017}),
+        ({}, ["--dt", "1e-3"], {"propagator": {"time_step": 0.001}}),
+        ({}, ["--duration", "0.5"], {"protocol": {"duration": 0.5}}),
+        ({}, ["--temperatures", " 1, 2.5,,40"], {"temperatures_k": [1.0, 2.5, 40.0]}),
+        ({}, ["--no-flux-inversion"], {"protocol": {"invert_flux": False}}),
+        ({}, ["--no-time-mirror"], {"protocol": {"mirror_time": False}}),
+        ({}, ["--out", "elsewhere"], {"output_dir": "elsewhere"}),
+        ({}, ["--exact"], {"mode": "exact"}),
+        # the file's mode is not the default, so --sampled has work to do
+        ({"mode": "exact"}, ["--sampled"], {"mode": "sampled"}),
+    ],
+    ids=["seed", "events", "dt", "duration", "temperatures", "no-flux-inversion",
+         "no-time-mirror", "out", "exact", "sampled"],
+)
+def test_override_flags_set_their_keys(mapping, flags, change):
+    expected = copy.deepcopy(DEFAULT_ECHO)
+    for key, value in change.items():
+        if isinstance(value, dict):
+            expected[key].update(value)
+        else:
+            expected[key] = value
+    echo = config_from_mapping(_overrides(mapping, flags)).resolved()
+    # json.dumps keeps key order, which the manifest echo depends on
+    assert json.dumps(echo) == json.dumps(expected)
+
+
+@pytest.mark.parametrize(
+    "mapping, flags, message",
+    [
+        ({"protocol": [1]}, ["--duration", "1"],
+         "config section 'protocol' must be a JSON object"),
+        ({"protocol": None}, ["--no-time-mirror"],
+         "config section 'protocol' must be a JSON object"),
+        ({}, ["--temperatures", "ten"], "bad --temperatures value: 'ten'"),
+        ({}, ["--temperatures", " , "],
+         "--temperatures needs a comma-separated kelvin list"),
+    ],
+    ids=["protocol-not-object", "protocol-null", "temperatures-word",
+         "temperatures-empty"],
+)
+def test_override_flag_messages(mapping, flags, message):
     with pytest.raises(ValueError) as excinfo:
-        config_from_mapping({"propagator": section})
+        _overrides(mapping, flags)
     assert str(excinfo.value) == message
+
+
+def test_gibbs_refuses_repeated_tags_before_propagating(tmp_path, capsys, monkeypatch):
+    def no_propagation(*args, **kwargs):
+        pytest.fail("gibbs propagated before refusing a repeated temperature tag")
+
+    monkeypatch.setattr(cpbsim.cli, "run_protocol", no_propagation)
+    out = tmp_path / "o"
+    code = main(["gibbs", "--exact", "--temperatures", "10,10", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "cpbsim: two outputs of this run are named work_forward_T10K.csv\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("temperatures", ["10,10", "10,10.0000001"])
@@ -343,7 +541,8 @@ def test_payloads_are_byte_deterministic(tmp_path):
     assert docs[0] == docs[1]
 
 
-def test_waveform_table_protocol(tmp_path):
+def _write_table(tmp_path):
+    """The default drive sampled at 201 points, as a waveform table."""
     table = tmp_path / "wave.csv"
     times = np.linspace(0.0, 2.0 / 3.0, 201)
     with open(table, "w", newline="") as fh:
@@ -355,6 +554,11 @@ def test_waveform_table_protocol(tmp_path):
                  f"{0.5 * math.cos(3.0 * math.pi * t):.12g}",
                  f"{0.05 - 2.0 * math.cos(3.0 * math.pi * t):.12g}"]
             )
+    return table
+
+
+def test_waveform_table_protocol(tmp_path):
+    table = _write_table(tmp_path)
     cfg = _write_config(
         tmp_path,
         {"protocol": {"family": "table", "table_path": str(table)},
@@ -365,6 +569,37 @@ def test_waveform_table_protocol(tmp_path):
     rows = _read_csv(out / "spectrum.csv")
     assert len(rows) == 12
     assert float(rows[-1][0]) == pytest.approx(2.0 / 3.0)
+
+
+def test_waveform_table_echo_round_trips(tmp_path):
+    table = _write_table(tmp_path)
+    cfg = _write_config(
+        tmp_path,
+        {"protocol": {"family": "table", "table_path": str(table),
+                      "direction": "backward", "mirror_time": False}},
+    )
+    first = tmp_path / "first"
+    assert main(["run", "--config", cfg, "--dt", "1e-3", "--out", str(first)]) == 0
+    echo = _read_json(first / "manifest.json")["config"]
+    assert echo["protocol"] == {
+        "family": "table",
+        "table_path": str(table),
+        "direction": "backward",
+        "mirror_time": False,
+        "invert_flux": True,
+    }
+    assert config_from_mapping(echo).resolved() == echo
+
+    second = tmp_path / "second"
+    cfg = _write_config(tmp_path, echo, name="echo.json")
+    assert main(["run", "--config", cfg, "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+    again = _read_json(second / "manifest.json")["config"]
+    assert {**again, "output_dir": echo["output_dir"]} == echo
 
 
 def test_waveform_table_rejects_duration(tmp_path):
