@@ -48,6 +48,7 @@ from .model import (
     eigensystem,
     hermiticity_defect,
     josephson_energy,
+    label_rows,
 )
 from .noise import (
     DephasingRatioPoint,

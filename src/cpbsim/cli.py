@@ -37,7 +37,7 @@ from .experiment import (
     stochasticity_defect,
     transition_matrix,
 )
-from .model import charge_labels
+from .model import charge_labels, label_rows
 from .noise import (
     detector_distinguishability,
     kolmogorov_distance_quadrature,
@@ -146,12 +146,6 @@ class _OutputSet:
         path.write_text(_jdump(doc) + "\n", encoding="utf-8")
 
 
-def _subspace_labels(cfg: RunConfig) -> tuple:
-    if cfg.subspace == "all":
-        return tuple(int(n) for n in charge_labels(cfg.device))
-    return tuple(cfg.subspace)
-
-
 def _matrix_rows(matrix: np.ndarray, labels: np.ndarray):
     header = ["label"] + [int(n) for n in labels]
     rows = [header]
@@ -188,7 +182,7 @@ def cmd_run(cfg: RunConfig) -> int:
         )
         + "\n",
     )
-    subspace = _subspace_labels(cfg)
+    subspace = trans.labels[label_rows(trans.labels, cfg.subspace)].tolist()
     leakage = trans.subspace_leakage(subspace)
     report = {
         "direction": trans.direction,
@@ -217,8 +211,7 @@ def cmd_microrev(cfg: RunConfig) -> int:
     backward = reverse_protocol(forward)
     t_fwd = run_protocol(cfg.device, forward, cfg.propagator)
     t_bwd = run_protocol(cfg.device, backward, cfg.propagator)
-    subspace = _subspace_labels(cfg)
-    rep = microrev_deviation(t_fwd, t_bwd, subspace)
+    rep = microrev_deviation(t_fwd, t_bwd, cfg.subspace)
     out = _OutputSet(Path(cfg.output_dir))
     passed = rep.max_abs <= cfg.microrev_tolerance
     out.write(
@@ -239,11 +232,12 @@ def cmd_microrev(cfg: RunConfig) -> int:
         + "\n",
     )
     rows = [["m", "n", "p_forward", "p_backward_transposed", "abs_diff"]]
-    for m in subspace:
-        for n in subspace:
-            pf = float(t_fwd.matrix[t_fwd.index(m), t_fwd.index(n)])
-            pb = float(t_bwd.matrix[t_bwd.index(n), t_bwd.index(m)])
-            rows.append([int(m), int(n), pf, pb, abs(pf - pb)])
+    cells = list(zip(rep.subspace, label_rows(t_fwd.labels, rep.subspace)))
+    for m, i in cells:
+        for n, j in cells:
+            pf = float(t_fwd.matrix[i, j])
+            pb = float(t_bwd.matrix[j, i])
+            rows.append([m, n, pf, pb, abs(pf - pb)])
     out.write("microrev_cells.csv", _csv(rows))
     out.manifest(cfg)
     return EXIT_OK if passed else EXIT_THRESHOLD
@@ -397,7 +391,10 @@ def _merge_overrides(mapping: dict, args: argparse.Namespace) -> dict:
         *sections, key = dest.split(".")
         target = merged
         for name in sections:
-            target = target.setdefault(name, {})
+            # a null section reads as {}, as in config_from_mapping
+            if target.get(name) is None:
+                target[name] = {}
+            target = target[name]
             if not isinstance(target, dict):
                 raise ValueError(f"config section {name!r} must be a JSON object")
         target[key] = value

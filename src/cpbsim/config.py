@@ -24,7 +24,7 @@ from .drive import (
     default_protocol,
     load_waveform_table,
 )
-from .model import DEFAULT_SUBSPACE, DeviceParams
+from .model import DEFAULT_SUBSPACE, DeviceParams, charge_labels, label_rows
 from .noise import DEFAULT_BATH_TEMPERATURE, DetectorParams
 from .propagate import PropagatorConfig
 from .thermo import EXACT, SAMPLED
@@ -69,11 +69,9 @@ def _float(name: str, value: Any) -> float:
     return number
 
 
-def _int(name: str, value: Any, minimum: Optional[int] = None) -> int:
+def _int(name: str, value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"config key {name!r} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"config key {name!r} must be >= {minimum}")
     return int(value)
 
 
@@ -193,10 +191,7 @@ def _subspace(name: str, value: Any) -> Union[Tuple[int, ...], str]:
         return "all"
     if not isinstance(value, (list, tuple)) or not value:
         raise ValueError("subspace must be 'all' or a non-empty list of labels")
-    labels = tuple(_int("subspace entry", v, -(10**9)) for v in value)
-    if len(set(labels)) != len(labels):
-        raise ValueError("subspace labels must be distinct")
-    return labels
+    return tuple(_int("subspace entry", v) for v in value)
 
 
 def _echo(value: Any) -> Any:
@@ -239,6 +234,7 @@ class RunConfig:
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
+        label_rows(charge_labels(self.device), self.subspace)
         if any(t <= 0.0 for t in self.temperatures_k):
             raise ValueError("temperatures_k entries must be positive")
         if self.events < 1:

@@ -21,6 +21,7 @@ from .model import (
     build_hamiltonian,
     charge_labels,
     eigensystem,
+    label_rows,
 )
 from .propagate import PropagatorConfig, evolve
 
@@ -41,16 +42,9 @@ class TransitionMatrix:
     labels: np.ndarray
     direction: str
 
-    def index(self, label: int) -> int:
-        offset = int(self.labels[0])
-        idx = int(label) - offset
-        if not 0 <= idx < self.labels.size:
-            raise ValueError(f"charge label {label} outside basis")
-        return idx
-
     def subspace_leakage(self, subspace=DEFAULT_SUBSPACE) -> np.ndarray:
         """Per-column probability of leaving ``subspace``, column order as given."""
-        rows = [self.index(n) for n in subspace]
+        rows = label_rows(self.labels, subspace)
         return 1.0 - self.matrix[np.ix_(rows, rows)].sum(axis=0)
 
 
@@ -139,13 +133,13 @@ def prepare_ensemble(
     ground = eigensystem(h0).states[:, 0]
     probabilities = np.abs(u @ ground) ** 2
     labels = charge_labels(params)
-    index = {int(n): i for i, n in enumerate(labels)}
-    mass = float(sum(probabilities[index[n]] for n in subspace))
+    rows = label_rows(labels, subspace)
     return PreparationEnsemble(
         probabilities=probabilities,
         labels=labels,
-        subspace=tuple(subspace),
-        subspace_mass=mass,
+        subspace=tuple(labels[rows].tolist()),
+        # Python's sum adds in row order, unlike numpy's pairwise sum
+        subspace_mass=float(sum(probabilities[rows])),
     )
 
 
@@ -295,12 +289,12 @@ def microrev_deviation(
     if forward.matrix.shape != backward.matrix.shape:
         raise ValueError("transition matrices have mismatched shapes")
     diff = np.abs(forward.matrix - backward.matrix.T)
-    rows = [forward.index(n) for n in subspace]
+    rows = label_rows(forward.labels, subspace)
     block = diff[np.ix_(rows, rows)]
     return MicrorevReport(
         max_abs=float(block.max()),
         mean_abs=float(block.mean()),
         max_abs_full=float(diff.max()),
         mean_abs_full=float(diff.mean()),
-        subspace=tuple(subspace),
+        subspace=tuple(forward.labels[rows].tolist()),
     )

@@ -83,6 +83,25 @@ def charge_labels(params: DeviceParams) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
+def label_rows(labels: np.ndarray, subset) -> np.ndarray:
+    """Row indices of the charge labels ``subset`` in the basis ``labels``.
+
+    ``labels`` is a basis as :func:`charge_labels` returns it; ``subset`` is
+    ``"all"`` or a sequence of distinct labels, and the rows keep its order.
+    """
+    if isinstance(subset, str) and subset == "all":
+        return np.arange(labels.size)
+    # Python ints, so that a huge label is refused rather than overflowing
+    first = int(labels[0])
+    rows = [int(n) - first for n in subset]
+    if len(set(rows)) != len(rows):
+        raise ValueError("subspace labels must be distinct")
+    for n, row in zip(subset, rows):
+        if not 0 <= row < labels.size:
+            raise ValueError(f"charge label {n} outside basis")
+    return np.array(rows, dtype=int)
+
+
 def josephson_energy(params: DeviceParams, flux: float) -> complex:
     """Complex flux-tunable tunneling energy.
 

@@ -25,6 +25,7 @@ from .model import (
     build_hamiltonian,
     charge_labels,
     eigensystem,
+    label_rows,
 )
 
 #: Work values closer than this (rad/ns) are treated as one atom.
@@ -152,17 +153,10 @@ def energy_ladder(
     """
     if not _endpoint_closed(protocol):
         raise ValueError("protocol is not endpoint-closed; work needs one H(0)")
-    if subspace == "all":
-        subspace = tuple(int(n) for n in charge_labels(params))
-    labels = np.asarray([int(n) for n in subspace])
-    if np.unique(labels).size != labels.size:
-        raise ValueError("subspace labels must be distinct")
-    bias = sample_drive(protocol, 0.0)
     full = charge_labels(params)
-    offset = int(full[0])
-    rows = labels - offset
-    if rows.min() < 0 or rows.max() >= full.size:
-        raise ValueError("subspace label outside the charge basis")
+    rows = label_rows(full, subspace)
+    labels = full[rows]
+    bias = sample_drive(protocol, 0.0)
     if bare:
         energies = 4.0 * params.charging_energy * (labels - bias.gate_charge) ** 2
         return EnergyLadder(
@@ -241,10 +235,6 @@ def _work_grid(ladder: EnergyLadder):
     return sums / hits, group_flat.reshape(n, n)
 
 
-def _column_indices(trans: TransitionMatrix, ladder: EnergyLadder) -> np.ndarray:
-    return np.asarray([trans.index(int(n)) for n in ladder.labels])
-
-
 def work_distribution_exact(
     weights: GibbsWeights, trans: TransitionMatrix, ladder: EnergyLadder
 ) -> WorkDistribution:
@@ -258,7 +248,7 @@ def work_distribution_exact(
     """
     if not np.array_equal(weights.labels, ladder.labels):
         raise ValueError("weights and ladder cover different labels")
-    cols = _column_indices(trans, ladder)
+    cols = label_rows(trans.labels, ladder.labels)
     block = trans.matrix[np.ix_(cols, cols)]  # [second, first] in ladder order
     joint = block * weights.weights[None, :]
     values, group = _work_grid(ladder)
@@ -296,7 +286,7 @@ def sample_work(
         raise ValueError("n_events must be positive")
     if not np.array_equal(weights.labels, ladder.labels):
         raise ValueError("weights and ladder cover different labels")
-    cols = _column_indices(trans, ladder)
+    cols = label_rows(trans.labels, ladder.labels)
     columns = trans.matrix[:, cols]
     columns = columns / columns.sum(axis=0, keepdims=True)
     # pairs[i, j]: events with first ladder index i and second ladder index j

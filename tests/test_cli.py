@@ -140,6 +140,13 @@ MALFORMED_CONFIGS = {
         {"subspace": 3}, "subspace must be 'all' or a non-empty list of labels"
     ),
     "subspace-value": ({"subspace": [1, 1]}, "subspace labels must be distinct"),
+    "subspace-range": ({"subspace": [100]}, "charge label 100 outside basis"),
+    "subspace-range-low": (
+        {"subspace": [-2000000000]}, "charge label -2000000000 outside basis"
+    ),
+    "subspace-range-device": (
+        {"device": {"n_charges": 5}, "subspace": [3]}, "charge label 3 outside basis"
+    ),
     "temperatures_k-type": (
         {"temperatures_k": 10}, "temperatures_k must be a non-empty list"
     ),
@@ -263,9 +270,13 @@ def _overrides(mapping, flags):
         ({}, ["--exact"], {"mode": "exact"}),
         # the file's mode is not the default, so --sampled has work to do
         ({"mode": "exact"}, ["--sampled"], {"mode": "sampled"}),
+        # a null section reads as {}, with or without a flag into it
+        ({"protocol": None}, ["--no-time-mirror"], {"protocol": {"mirror_time": False}}),
+        ({"propagator": None}, ["--dt", "1e-3"], {"propagator": {"time_step": 0.001}}),
     ],
     ids=["seed", "events", "dt", "duration", "temperatures", "no-flux-inversion",
-         "no-time-mirror", "out", "exact", "sampled"],
+         "no-time-mirror", "out", "exact", "sampled", "protocol-null",
+         "propagator-null"],
 )
 def test_override_flags_set_their_keys(mapping, flags, change):
     expected = copy.deepcopy(DEFAULT_ECHO)
@@ -284,14 +295,11 @@ def test_override_flags_set_their_keys(mapping, flags, change):
     [
         ({"protocol": [1]}, ["--duration", "1"],
          "config section 'protocol' must be a JSON object"),
-        ({"protocol": None}, ["--no-time-mirror"],
-         "config section 'protocol' must be a JSON object"),
         ({}, ["--temperatures", "ten"], "bad --temperatures value: 'ten'"),
         ({}, ["--temperatures", " , "],
          "--temperatures needs a comma-separated kelvin list"),
     ],
-    ids=["protocol-not-object", "protocol-null", "temperatures-word",
-         "temperatures-empty"],
+    ids=["protocol-not-object", "temperatures-word", "temperatures-empty"],
 )
 def test_override_flag_messages(mapping, flags, message):
     with pytest.raises(ValueError) as excinfo:
@@ -309,6 +317,22 @@ def test_gibbs_refuses_repeated_tags_before_propagating(tmp_path, capsys, monkey
     assert code == 2
     err = capsys.readouterr().err
     assert err == "cpbsim: two outputs of this run are named work_forward_T10K.csv\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "microrev", "gibbs"])
+def test_out_of_basis_subspace_refused_before_propagating(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_propagation(*args, **kwargs):
+        pytest.fail(f"{command} propagated before refusing the subspace")
+
+    monkeypatch.setattr(cpbsim.cli, "evolve", no_propagation)
+    monkeypatch.setattr(cpbsim.cli, "run_protocol", no_propagation)
+    cfg = _write_config(tmp_path, {"subspace": [100]})
+    out = tmp_path / "o"
+    assert main([command, "--exact", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "cpbsim: charge label 100 outside basis\n"
     assert not out.exists()
 
 
@@ -428,6 +452,41 @@ def test_run_sampled_counts_bytes_are_pinned(tmp_path, seed):
     digest = hashlib.sha256((out / "counts.csv").read_bytes()).hexdigest()
     assert digest == SAMPLED_COUNTS_SHA256[seed]
     assert _read_json(out / "manifest.json")["outputs"]["counts.csv"] == digest
+
+
+# payloads whose subspace is not the default, at dt 1e-3
+SUBSPACE_PAYLOAD_SHA256 = {
+    "run-all": (["run", "--exact"], "all", {
+        "run_report.json":
+            "22473f6095d87a1d55d99be80411ef6708b23fd58d560d820e7663672a7a856d",
+    }),
+    "microrev": (["microrev"], [2, -1, 0], {
+        "microrev_cells.csv":
+            "d35d428cca7477ff0e26a089b00f3fb35909cc36aac7c8b3342e277d541df9c7",
+        "microrev.json":
+            "98dd958bebf72bd6d90688ed9bc774d84ee18628723dd0549f2b285155b866c2",
+    }),
+    "gibbs": (["gibbs", "--exact"], [2, -1, 0], {
+        "bk_report.json":
+            "7697e86c44db9c4d842d5ae8abde9f94abc1e10f7ab359f6713907c7a88ec799",
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, subspace, expected",
+    SUBSPACE_PAYLOAD_SHA256.values(),
+    ids=SUBSPACE_PAYLOAD_SHA256.keys(),
+)
+def test_subspace_payload_bytes_are_pinned(tmp_path, argv, subspace, expected):
+    cfg = _write_config(tmp_path, {"subspace": subspace})
+    out = tmp_path / "o"
+    assert main(argv + ["--dt", "1e-3", "--config", cfg, "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in expected
+    }
+    assert digests == expected
 
 
 def test_run_propagates_once(tmp_path, monkeypatch):

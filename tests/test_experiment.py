@@ -11,6 +11,7 @@ from cpbsim import (
     default_protocol,
     derive_seed,
     evolve,
+    label_rows,
     microrev_deviation,
     partition_seeds,
     prepare_ensemble,
@@ -29,11 +30,12 @@ def test_transition_matrix_is_doubly_stochastic(trans_forward):
 
 
 def test_transition_matrix_column_lookup(trans_forward):
-    col = trans_forward.matrix[:, trans_forward.index(0)]
+    (row,) = label_rows(trans_forward.labels, [0])
+    col = trans_forward.matrix[:, row]
     assert col.sum() == pytest.approx(1.0, abs=1e-12)
     assert col is not None and col.size == trans_forward.labels.size
     with pytest.raises(ValueError):
-        trans_forward.index(99)
+        label_rows(trans_forward.labels, [99])
 
 
 def test_identity_without_tunneling(protocol):
@@ -73,6 +75,31 @@ def test_microrev_deviation_against_manual_arithmetic():
 def test_microrev_deviation_validates_directions(trans_forward):
     with pytest.raises(ValueError):
         microrev_deviation(trans_forward, trans_forward)
+
+
+def test_repeated_subspace_label_is_refused(trans_forward, trans_backward):
+    # a repeated label would count its column twice: 1 - 2 P[0, 0]
+    with pytest.raises(ValueError, match="subspace labels must be distinct"):
+        trans_forward.subspace_leakage((0, 0))
+    with pytest.raises(ValueError, match="subspace labels must be distinct"):
+        microrev_deviation(trans_forward, trans_backward, (0, 0))
+
+
+def test_preparation_refuses_out_of_basis_label(params, protocol, u_forward):
+    with pytest.raises(ValueError, match="charge label 100 outside basis"):
+        prepare_ensemble(params, protocol, u_forward, (100,))
+
+
+def test_all_subspace_records_its_labels(
+    params, protocol, u_forward, trans_forward, trans_backward
+):
+    labels = tuple(range(-25, 26))
+    rep = microrev_deviation(trans_forward, trans_backward, "all")
+    assert rep.subspace == labels
+    assert rep.max_abs == rep.max_abs_full
+    prep = prepare_ensemble(params, protocol, u_forward, "all")
+    assert prep.subspace == labels
+    assert prep.subspace_mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_preparation_probabilities_sum_to_one(preparation):

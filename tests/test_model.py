@@ -15,6 +15,7 @@ from cpbsim import (
     eigensystem,
     hermiticity_defect,
     josephson_energy,
+    label_rows,
 )
 from cpbsim.model import gauge_tridiagonal
 
@@ -32,6 +33,31 @@ def test_charge_labels_centered(params):
     assert labels.size == params.n_charges
     assert labels[0] == -25 and labels[-1] == 25
     assert np.array_equal(labels, -labels[::-1])
+
+
+def test_label_rows_keeps_order(params):
+    labels = charge_labels(params)
+    assert label_rows(labels, (2, -1, 0)).tolist() == [27, 24, 25]
+    assert label_rows(labels, np.array([25, -25])).tolist() == [50, 0]
+    assert label_rows(labels, [np.int32(1)]).tolist() == [26]
+    assert np.array_equal(label_rows(labels, "all"), np.arange(51))
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ((1, -1, 1), "subspace labels must be distinct"),
+        ((0, -26), "charge label -26 outside basis"),
+        ((26,), "charge label 26 outside basis"),
+        ((10**30,), f"charge label {10**30} outside basis"),
+        ((-(10**30), 0), f"charge label {-(10**30)} outside basis"),
+    ],
+    ids=["repeat", "below", "above", "huge", "huge-negative"],
+)
+def test_label_rows_refuses(params, subset, message):
+    with pytest.raises(ValueError) as excinfo:
+        label_rows(charge_labels(params), subset)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(

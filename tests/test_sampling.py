@@ -11,7 +11,13 @@ import itertools
 import numpy as np
 import pytest
 
-from cpbsim import energy_ladder, gibbs_weights, sample_experiment, sample_work
+from cpbsim import (
+    energy_ladder,
+    gibbs_weights,
+    label_rows,
+    sample_experiment,
+    sample_work,
+)
 from cpbsim.experiment import EVENT_PARTITION, _cdf, _pair_counts, partition_seeds
 from cpbsim.thermo import _work_grid
 
@@ -38,7 +44,7 @@ def _reference_draw(rng, initial_probs, columns, size):
 
 def _reference_work_counts(weights, trans, ladder, n_events, seed):
     """Work histogram and discard count from the per-event reference draw."""
-    cols = np.asarray([trans.index(int(n)) for n in ladder.labels])
+    cols = label_rows(trans.labels, ladder.labels)
     columns = trans.matrix[:, cols]
     columns = columns / columns.sum(axis=0, keepdims=True)
     _values, group = _work_grid(ladder)
@@ -70,7 +76,7 @@ def ladders(params, protocol):
 
 
 def _ladder_columns(trans, ladder):
-    cols = np.asarray([trans.index(int(n)) for n in ladder.labels])
+    cols = label_rows(trans.labels, ladder.labels)
     columns = trans.matrix[:, cols]
     return cols, columns / columns.sum(axis=0, keepdims=True)
 
