@@ -1,8 +1,9 @@
 """Command-line front end: subcommand dispatch and persisted run artifacts.
 
-Every subcommand reads an optional JSON config, applies flag overrides,
-writes its CSV/JSON payloads into the output directory, and finishes with
-a manifest (config echo, tool version, timestamp, seed, sha256 per file).
+``main`` reads an optional JSON config, applies flag overrides and hands the
+subcommand the run's ``_OutputSet``, the only code that formats payloads.
+It finishes the run with the set's manifest (config echo, tool version,
+timestamp, seed, sha256 per file), also when a command exits 3.
 Payload bytes depend only on config and seed; the timestamp is confined
 to the manifest so repeat runs stay byte-identical.
 
@@ -112,20 +113,22 @@ def _csv(rows) -> str:
 
 
 class _OutputSet:
-    """Collects payload files and finishes with the checksummed manifest.
+    """The run's payloads, their one formatter and the checksummed manifest.
 
-    Payloads stay in memory until :meth:`manifest`, which creates the output
-    directory and writes them, so a command that fails part way leaves no
-    files behind.
+    :meth:`write` takes rows for a ``.csv`` name and an object for a
+    ``.json`` name. Payloads stay in memory until :meth:`manifest`, which
+    creates the output directory and writes them, so a command that fails
+    part way leaves no files behind.
     """
 
-    def __init__(self, outdir: Path) -> None:
+    def __init__(self, outdir: str) -> None:
         self.outdir = Path(outdir)
         self.payloads: dict = {}
 
-    def write(self, name: str, text: str) -> None:
+    def write(self, name: str, payload) -> None:
         if name in self.payloads:
             raise ValueError(f"two outputs of this run are named {name}")
+        text = _jdump(payload) + "\n" if name.endswith(".json") else _csv(payload)
         self.payloads[name] = text.encode("utf-8")
 
     def manifest(self, cfg: RunConfig) -> None:
@@ -147,89 +150,66 @@ class _OutputSet:
 
 
 def _matrix_rows(matrix: np.ndarray, labels: np.ndarray):
-    header = ["label"] + [int(n) for n in labels]
-    rows = [header]
-    for i, m in enumerate(labels):
-        rows.append([int(m)] + list(matrix[i]))
-    return rows
+    return [["label", *labels]] + [[m, *row] for m, row in zip(labels, matrix)]
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig, out: _OutputSet) -> int:
     trace = spectrum_trace(cfg.device, cfg.protocol, cfg.spectrum_samples)
-    out = _OutputSet(Path(cfg.output_dir))
     header = ["t_ns"] + [f"e{k:02d}" for k in range(cfg.device.n_charges)]
-    rows = [header] + [
-        [t] + list(levels) for t, levels in zip(trace.times, trace.energies)
-    ]
-    out.write("spectrum.csv", _csv(rows))
-    out.manifest(cfg)
+    rows = [[t, *levels] for t, levels in zip(trace.times, trace.energies)]
+    out.write("spectrum.csv", [header] + rows)
     return EXIT_OK
 
 
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(cfg: RunConfig, out: _OutputSet) -> int:
     u = evolve(cfg.device, cfg.protocol, cfg.propagator)
     trans = transition_matrix(u, charge_labels(cfg.device), cfg.protocol.direction)
-    out = _OutputSet(Path(cfg.output_dir))
-    out.write("transition_matrix.csv", _csv(_matrix_rows(trans.matrix, trans.labels)))
+    out.write("transition_matrix.csv", _matrix_rows(trans.matrix, trans.labels))
     out.write(
         "transition_matrix.json",
-        _jdump(
-            {
-                "direction": trans.direction,
-                "labels": [int(n) for n in trans.labels],
-                "matrix": [list(row) for row in trans.matrix],
-            }
-        )
-        + "\n",
+        {
+            "direction": trans.direction,
+            "labels": trans.labels.tolist(),
+            "matrix": trans.matrix.tolist(),
+        },
     )
     subspace = trans.labels[label_rows(trans.labels, cfg.subspace)].tolist()
     leakage = trans.subspace_leakage(subspace)
     report = {
         "direction": trans.direction,
         "stochasticity_defect": stochasticity_defect(trans),
-        "subspace": list(subspace),
+        "subspace": subspace,
         "column_leakage": {str(n): float(v) for n, v in zip(subspace, leakage)},
     }
     if cfg.protocol.direction == FORWARD:
         prep = prepare_ensemble(cfg.device, cfg.protocol, u, subspace)
-        rows = [["label", "probability"]] + [
-            [int(n), p] for n, p in zip(prep.labels, prep.probabilities)
-        ]
-        out.write("preparation.csv", _csv(rows))
+        rows = list(zip(prep.labels, prep.probabilities))
+        out.write("preparation.csv", [["label", "probability"]] + rows)
         report["subspace_mass"] = prep.subspace_mass
         if cfg.mode != EXACT:
             sample = sample_experiment(prep, trans, cfg.events, cfg.seed)
-            out.write("counts.csv", _csv(_matrix_rows(sample.counts, sample.labels)))
+            out.write("counts.csv", _matrix_rows(sample.counts, sample.labels))
             report["events"] = sample.n_events
-    out.write("run_report.json", _jdump(report) + "\n")
-    out.manifest(cfg)
+    out.write("run_report.json", report)
     return EXIT_OK
 
 
-def cmd_microrev(cfg: RunConfig) -> int:
+def cmd_microrev(cfg: RunConfig, out: _OutputSet) -> int:
     forward = dataclasses.replace(cfg.protocol, direction=FORWARD)
     backward = reverse_protocol(forward)
     t_fwd = run_protocol(cfg.device, forward, cfg.propagator)
     t_bwd = run_protocol(cfg.device, backward, cfg.propagator)
     rep = microrev_deviation(t_fwd, t_bwd, cfg.subspace)
-    out = _OutputSet(Path(cfg.output_dir))
     passed = rep.max_abs <= cfg.microrev_tolerance
     out.write(
         "microrev.json",
-        _jdump(
-            {
-                "max_abs": rep.max_abs,
-                "mean_abs": rep.mean_abs,
-                "max_abs_full": rep.max_abs_full,
-                "mean_abs_full": rep.mean_abs_full,
-                "subspace": list(rep.subspace),
-                "tolerance": cfg.microrev_tolerance,
-                "passed": passed,
-                "mirror_time": cfg.protocol.mirror_time,
-                "invert_flux": cfg.protocol.invert_flux,
-            }
-        )
-        + "\n",
+        {
+            **dataclasses.asdict(rep),
+            "tolerance": cfg.microrev_tolerance,
+            "passed": passed,
+            "mirror_time": cfg.protocol.mirror_time,
+            "invert_flux": cfg.protocol.invert_flux,
+        },
     )
     rows = [["m", "n", "p_forward", "p_backward_transposed", "abs_diff"]]
     cells = list(zip(rep.subspace, label_rows(t_fwd.labels, rep.subspace)))
@@ -238,12 +218,11 @@ def cmd_microrev(cfg: RunConfig) -> int:
             pf = float(t_fwd.matrix[i, j])
             pb = float(t_bwd.matrix[j, i])
             rows.append([m, n, pf, pb, abs(pf - pb)])
-    out.write("microrev_cells.csv", _csv(rows))
-    out.manifest(cfg)
+    out.write("microrev_cells.csv", rows)
     return EXIT_OK if passed else EXIT_THRESHOLD
 
 
-def cmd_gibbs(cfg: RunConfig) -> int:
+def cmd_gibbs(cfg: RunConfig, out: _OutputSet) -> int:
     forward = dataclasses.replace(cfg.protocol, direction=FORWARD)
     backward = reverse_protocol(forward)
     ladder = energy_ladder(
@@ -259,7 +238,6 @@ def cmd_gibbs(cfg: RunConfig) -> int:
             raise ValueError(f"two outputs of this run are named {name}")
     t_fwd = run_protocol(cfg.device, forward, cfg.propagator)
     t_bwd = run_protocol(cfg.device, backward, cfg.propagator)
-    out = _OutputSet(Path(cfg.output_dir))
     table = []
     for ti, (temperature, weights, tag) in enumerate(
         zip(cfg.temperatures_k, all_weights, tags)
@@ -277,33 +255,20 @@ def cmd_gibbs(cfg: RunConfig) -> int:
             )
             value_header = "count"
         for dist, name in ((dist_f, "forward"), (dist_b, "backward")):
-            rows = [["W_rad_per_ns", value_header]] + [
-                [w, v] for w, v in zip(dist.values, dist.mass)
-            ]
-            out.write(f"work_{name}_{tag}.csv", _csv(rows))
-        records = bk_ratio_check(dist_f, dist_b, temperature)
-        rows = [
-            [
-                "W_rad_per_ns",
-                "log_ratio",
-                "reference",
-                "forward_mass",
-                "backward_mass",
-                "matched",
-            ]
+            rows = list(zip(dist.values, dist.mass))
+            out.write(f"work_{name}_{tag}.csv", [["W_rad_per_ns", value_header]] + rows)
+        header = [
+            "W_rad_per_ns",
+            "log_ratio",
+            "reference",
+            "forward_mass",
+            "backward_mass",
+            "matched",
         ]
-        for r in records:
-            rows.append(
-                [
-                    r.work,
-                    r.log_ratio,
-                    r.reference,
-                    r.forward_mass,
-                    r.backward_mass,
-                    r.matched,
-                ]
-            )
-        out.write(f"bk_ratio_{tag}.csv", _csv(rows))
+        records = bk_ratio_check(dist_f, dist_b, temperature)
+        out.write(
+            f"bk_ratio_{tag}.csv", [header] + [dataclasses.astuple(r) for r in records]
+        )
         eq = bk_equality(dist_f, temperature)
         table.append(
             {
@@ -315,59 +280,44 @@ def cmd_gibbs(cfg: RunConfig) -> int:
                 "n_discarded": dist_f.n_discarded,
             }
         )
-    rows = [["temperature_k", "one_minus_mean", "stderr", "n_events"]]
-    for row in table:
-        rows.append(
-            [row["temperature_k"], row["one_minus_mean"], row["stderr"], row["n_events"]]
-        )
-    out.write("bk_table.csv", _csv(rows))
+    columns = ["temperature_k", "one_minus_mean", "stderr", "n_events"]
+    out.write("bk_table.csv", [columns] + [[row[k] for k in columns] for row in table])
     out.write(
         "bk_report.json",
-        _jdump(
-            {
-                "mode": cfg.mode,
-                "events": cfg.events,
-                "ladder": {
-                    "labels": [int(n) for n in ladder.labels],
-                    "energies": list(ladder.energies),
-                    "bare": ladder.bare,
-                },
-                "table": table,
-            }
-        )
-        + "\n",
+        {
+            "mode": cfg.mode,
+            "events": cfg.events,
+            "ladder": {
+                "labels": ladder.labels.tolist(),
+                "energies": ladder.energies.tolist(),
+                "bare": ladder.bare,
+            },
+            "table": table,
+        },
     )
-    out.manifest(cfg)
     return EXIT_OK
 
 
-def cmd_noise(cfg: RunConfig) -> int:
+def cmd_noise(cfg: RunConfig, out: _OutputSet) -> int:
     points = ratio_trace(
         cfg.device, cfg.protocol, cfg.trace_samples, cfg.bath_temperature_k
     )
-    out = _OutputSet(Path(cfg.output_dir))
-    rows = [["t_ns", "ratio", "t2_over_t1", "beta"]]
-    for p in points:
-        rows.append([p.time, p.tphi_over_t1, p.t2_over_t1, p.beta])
-    out.write("noise_trace.csv", _csv(rows))
+    rows = [[p.time, p.tphi_over_t1, p.t2_over_t1, p.beta] for p in points]
+    out.write("noise_trace.csv", [["t_ns", "ratio", "t2_over_t1", "beta"]] + rows)
     det = detector_distinguishability(cfg.detector)
     quad = kolmogorov_distance_quadrature(cfg.detector)
     out.write(
         "detector.json",
-        _jdump(
-            {
-                "sigma_q_e": det.sigma_q,
-                "delta_q_e": det.delta_q,
-                "distance": det.distance,
-                "distance_quadrature": quad,
-                "closed_form_defect": abs(det.distance - quad),
-                "p_correct": det.p_correct,
-                "bath_temperature_k": cfg.bath_temperature_k,
-            }
-        )
-        + "\n",
+        {
+            "sigma_q_e": det.sigma_q,
+            "delta_q_e": det.delta_q,
+            "distance": det.distance,
+            "distance_quadrature": quad,
+            "closed_form_defect": abs(det.distance - quad),
+            "p_correct": det.p_correct,
+            "bath_temperature_k": cfg.bath_temperature_k,
+        },
     )
-    out.manifest(cfg)
     return EXIT_OK
 
 
@@ -465,8 +415,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"cpbsim: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = _OutputSet(cfg.output_dir)
     try:
-        return args.func(cfg)
+        code = args.func(cfg, out)
+        out.manifest(cfg)
+        return code
     except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"cpbsim: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -77,7 +78,7 @@ class TabulatedProtocol:
     ``times`` must start at 0, increase strictly, and define the duration
     through the last entry. Shares the sampling and reversal semantics of
     :class:`DriveProtocol`. ``path`` names the file the table was read from,
-    if any, for the config echo.
+    if any, as an absolute path, so the config echo re-runs from any directory.
     """
 
     times: np.ndarray
@@ -173,5 +174,8 @@ def load_waveform_table(path) -> TabulatedProtocol:
         raise ValueError(f"{path}: waveform table needs at least two samples")
     data = np.asarray(rows, dtype=float)
     return TabulatedProtocol(
-        times=data[:, 0], flux_values=data[:, 1], gate_values=data[:, 2], path=str(path)
+        times=data[:, 0],
+        flux_values=data[:, 1],
+        gate_values=data[:, 2],
+        path=os.path.abspath(path),
     )

@@ -31,6 +31,9 @@ from .model import (
 #: Work values closer than this (rad/ns) are treated as one atom.
 WORK_DEDUP_TOL = 1e-9
 
+#: Each ladder label's H(0) eigenstate must put at least this weight on it.
+MIN_OVERLAP = 0.99
+
 #: Atoms below this mass are unpopulated: the pairwise Boltzmann products
 #: that build them underflow into the subnormal range, where log-ratios
 #: carry only a handful of mantissa bits.
@@ -138,13 +141,12 @@ def energy_ladder(
     protocol,
     subspace=DEFAULT_SUBSPACE,
     bare: bool = False,
-    min_overlap: float = 0.99,
 ) -> EnergyLadder:
     """Assign start-of-protocol energies to the subspace charge labels.
 
     Eigen mode (default) takes the eigenenergy of the H(0) eigenstate with
     maximum overlap on each charge state and demands that the assignment be
-    a clean bijection (every overlap above ``min_overlap``). Bare mode takes
+    a clean bijection (every overlap above ``MIN_OVERLAP``). Bare mode takes
     the charging parabola 4*E_C*(n - n_g(0))^2 instead; it exists for
     sensitivity analysis against the tunneling-induced level shifts.
 
@@ -169,7 +171,7 @@ def energy_ladder(
     weight = np.abs(sys.states) ** 2
     assigned = np.argmax(weight[rows, :], axis=1)
     overlaps = weight[rows, assigned]
-    bad = overlaps < min_overlap
+    bad = overlaps < MIN_OVERLAP
     if np.any(bad):
         worst = [
             f"n={labels[i]} overlap={overlaps[i]:.4f}" for i in np.flatnonzero(bad)
@@ -326,7 +328,9 @@ def bk_equality(dist: WorkDistribution, temperature: float) -> BKEqualityResult:
         raise ValueError("need at least two sampled events")
     factors = np.exp(-dist.values / kt)
     mean = float(np.dot(dist.mass, factors) / n)
-    var = float(np.dot(dist.mass, (factors - mean) ** 2) / (n - 1))
+    # atoms no event reached weigh nothing; their factors may square to inf
+    deviation = np.where(dist.mass > 0, factors - mean, 0.0)
+    var = float(np.dot(dist.mass, deviation**2) / (n - 1))
     return BKEqualityResult(
         temperature=temperature,
         mean=mean,

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,8 +455,36 @@ def test_run_sampled_counts_bytes_are_pinned(tmp_path, seed):
     assert _read_json(out / "manifest.json")["outputs"]["counts.csv"] == digest
 
 
-# payloads whose subspace is not the default, at dt 1e-3
+# payload bytes at dt 1e-3, with the default subspace (None) or another one
 SUBSPACE_PAYLOAD_SHA256 = {
+    "spectrum": (["spectrum"], None, {
+        "spectrum.csv":
+            "791c00b4ab47502a981b001de0340f4061eb01abe088a269661986fb8f2f64e6",
+    }),
+    "noise": (["noise"], None, {
+        "detector.json":
+            "1a5286975b261567cdfc2eb91a15a7dd30acd662056ad9feab6307593bb8a086",
+    }),
+    "run": (["run", "--exact"], None, {
+        "transition_matrix.csv":
+            "3f6637c6dd2add3ce58191db43a8364ecb1455cbe1dadb4745ed930ea1d29bea",
+        "transition_matrix.json":
+            "075a47d3bf8cb38e71f323d774e3e0ee3ebba5b61154dfeb2a2021b9a41db23a",
+        "preparation.csv":
+            "bfa36d9bea1bef74d9d44f83216400d75bfc6695202380240654c25df69e5928",
+    }),
+    "gibbs-sampled": (
+        ["gibbs", "--sampled", "--events", "20000", "--temperatures", "10"], None, {
+            "work_forward_T10K.csv":
+                "a8cfbf902eb90652511d5741a97c3ebb7069e2b58b9b2e3577e2feac308f80e2",
+            "work_backward_T10K.csv":
+                "1ee70a51e2c47069e25deb1c6cf270d7a2c2d01773ebe1fa463a4e1938005880",
+            "bk_ratio_T10K.csv":
+                "6384e5ccc767a854652673435964442145aa62eb5b086e8b16982415fe2cfb6d",
+            "bk_table.csv":
+                "66d5c372d80772c600b19ad665471d0888a4e51b33cf5c28074e293fab999434",
+        },
+    ),
     "run-all": (["run", "--exact"], "all", {
         "run_report.json":
             "22473f6095d87a1d55d99be80411ef6708b23fd58d560d820e7663672a7a856d",
@@ -479,7 +508,7 @@ SUBSPACE_PAYLOAD_SHA256 = {
     ids=SUBSPACE_PAYLOAD_SHA256.keys(),
 )
 def test_subspace_payload_bytes_are_pinned(tmp_path, argv, subspace, expected):
-    cfg = _write_config(tmp_path, {"subspace": subspace})
+    cfg = _write_config(tmp_path, {} if subspace is None else {"subspace": subspace})
     out = tmp_path / "o"
     assert main(argv + ["--dt", "1e-3", "--config", cfg, "--out", str(out)]) == 0
     digests = {
@@ -536,6 +565,7 @@ def test_microrev_flags_broken_reversal(tmp_path):
     out = tmp_path / "mrbad"
     code = main(["microrev", "--dt", "1e-3", "--no-flux-inversion", "--out", str(out)])
     assert code == 3
+    assert (out / "manifest.json").is_file()
     doc = _read_json(out / "microrev.json")
     assert doc["passed"] is False
     assert doc["max_abs"] > 1e-2
@@ -659,6 +689,31 @@ def test_waveform_table_echo_round_trips(tmp_path):
             assert (first / name).read_bytes() == (second / name).read_bytes()
     again = _read_json(second / "manifest.json")["config"]
     assert {**again, "output_dir": echo["output_dir"]} == echo
+
+
+def test_relative_table_path_echo_runs_from_another_directory(tmp_path, monkeypatch):
+    # a relative table_path is read from the working directory, and the echo
+    # names the file it read, so the echo re-runs from anywhere
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    table = _write_table(cfg_dir)
+    _write_config(
+        cfg_dir,
+        {"protocol": {"family": "table", "table_path": "wave.csv"},
+         "spectrum_samples": 11},
+        name="rel.json",
+    )
+    monkeypatch.chdir(cfg_dir)
+    first = tmp_path / "first"
+    assert main(["spectrum", "--config", "rel.json", "--out", str(first)]) == 0
+    echo = _read_json(first / "manifest.json")["config"]
+    assert Path(echo["protocol"]["table_path"]) == table.resolve()
+
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, echo, name="echo.json")
+    second = tmp_path / "second"
+    assert main(["spectrum", "--config", cfg, "--out", str(second)]) == 0
+    assert (first / "spectrum.csv").read_bytes() == (second / "spectrum.csv").read_bytes()
 
 
 def test_waveform_table_rejects_duration(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ def test_bk_equality_sampled_close_to_unity(ladder, trans_forward):
     assert result.kind == SAMPLED
     assert result.n_events == 100_000 - sampled.n_discarded
     assert abs(result.mean - 1.0) < 5.0 * result.stderr + 1e-3
+
+
+def test_bk_equality_sampled_full_space_is_finite(ladder_full, trans_forward):
+    # at 1 K the factor of the most negative work on the grid is ~1e156; no
+    # event reaches that atom, and its squared deviation must not reach inf
+    weights = gibbs_weights(ladder_full, 1.0)
+    sampled = sample_work(weights, trans_forward, ladder_full, 20_000, seed=5)
+    assert np.any(sampled.mass == 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = bk_equality(sampled, 1.0)
+    assert math.isfinite(result.stderr) and result.stderr > 0.0
+    assert math.isfinite(result.mean)
 
 
 def test_bk_equality_rejects_single_event(ladder, trans_forward):
