@@ -61,55 +61,120 @@ EXIT_CONFIG = 2
 EXIT_THRESHOLD = 3
 
 
-def _jfloat(value: float) -> str:
-    # JSON has no inf/nan literals; non-finite values degrade to null
-    if not math.isfinite(value):
-        return "null"
-    return format(value, ".17g")
+def _bool_word(value) -> str:
+    return "true" if value else "false"
 
 
-def _jdump(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion order kept, floats at 17 digits."""
+def _json_float_word(value):
+    # JSON has no inf or nan literal
+    return None if math.isfinite(value) else "null"
+
+
+def _null_word(value) -> str:
+    return "null"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Rule:
+    """How a value of ``types`` prints: the ``%`` conversion of a CSV cell and
+    of a JSON value (``None``: not a JSON value), and per format the function
+    giving the text printed instead; where there is none, or it returns
+    ``None``, the conversion prints the value."""
+
+    types: tuple
+    csv: str
+    json: str | None
+    csv_text: object = None
+    json_text: object = None
+
+
+_FLOAT = _Rule((float, np.floating), "%.12g", "%.17g", json_text=_json_float_word)
+
+#: The one rule per value type, tried in order: a bool is also an int, and
+#: any other type is a ``str()`` CSV cell.
+_RULES = (
+    _Rule((bool, np.bool_), "%s", "%s", _bool_word, _bool_word),
+    _Rule((int, np.integer), "%d", "%d"),
+    _FLOAT,
+    _Rule((str,), "%s", "%s", json_text=json.dumps),
+    _Rule((type(None),), "%s", "%s", json_text=_null_word),
+    _Rule((object,), "%s", None),
+)
+
+
+def _rule(kind: type) -> _Rule:
+    return next(rule for rule in _RULES if issubclass(kind, rule.types))
+
+
+def _print(value, conv: str, text) -> str:
+    word = None if text is None else text(value)
+    return conv % (value,) if word is None else word
+
+
+def _row_template(kinds: tuple):
+    """The ``%`` template of a CSV row of cells of these types, and the
+    (index, conversion, text function) of each cell printed before it."""
+    rules = [_rule(kind) for kind in kinds]
+    template = ",".join("%s" if r.csv_text else r.csv for r in rules)
+    texts = tuple((i, r.csv, r.csv_text) for i, r in enumerate(rules) if r.csv_text)
+    return template, texts
+
+
+def _csv(rows) -> str:
+    """CSV text: each row through the template of its tuple of cell types."""
+    templates = {}
+    lines = []
+    for row in rows:
+        values = tuple(row)
+        kinds = tuple(map(type, values))
+        compiled = templates.get(kinds)
+        if compiled is None:
+            compiled = templates[kinds] = _row_template(kinds)
+        template, texts = compiled
+        if texts:
+            values = list(values)
+            for i, conv, text in texts:
+                values[i] = _print(values[i], conv, text)
+            values = tuple(values)
+        lines.append(template % values)
+    return "\n".join(lines) + "\n"
+
+
+def _jdump(obj, indent: int = 0, templates: dict | None = None) -> str:
+    """Deterministic JSON: insertion order kept, floats at 17 digits.
+
+    A list of finite floats goes through one template per length and depth,
+    built once per call in ``templates``.
+    """
+    if templates is None:
+        templates = {}
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(k))}: {_jdump(v, indent + 1)}"
+            f"{inner}{json.dumps(str(k))}: {_jdump(v, indent + 1, templates)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [f"{inner}{_jdump(v, indent + 1)}" for v in obj]
+        kinds = set(map(type, obj))
+        if all(_rule(k) is _FLOAT for k in kinds) and all(map(math.isfinite, obj)):
+            key = (indent, len(obj))
+            template = templates.get(key)
+            if template is None:
+                items = ",\n".join([inner + _FLOAT.json] * len(obj))
+                template = templates[key] = "[\n" + items + "\n" + pad + "]"
+            return template % tuple(obj)
+        items = [f"{inner}{_jdump(v, indent + 1, templates)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _jfloat(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
-
-
-def _csv(rows) -> str:
-    return "\n".join(",".join(_cell(c) for c in row) for row in rows) + "\n"
+    rule = _rule(type(obj))
+    if rule.json is None:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _print(obj, rule.json, rule.json_text)
 
 
 class _OutputSet:
@@ -150,13 +215,14 @@ class _OutputSet:
 
 
 def _matrix_rows(matrix: np.ndarray, labels: np.ndarray):
-    return [["label", *labels]] + [[m, *row] for m, row in zip(labels, matrix)]
+    labels = labels.tolist()
+    return [["label", *labels]] + [[m, *row] for m, row in zip(labels, matrix.tolist())]
 
 
 def cmd_spectrum(cfg: RunConfig, out: _OutputSet) -> int:
     trace = spectrum_trace(cfg.device, cfg.protocol, cfg.spectrum_samples)
     header = ["t_ns"] + [f"e{k:02d}" for k in range(cfg.device.n_charges)]
-    rows = [[t, *levels] for t, levels in zip(trace.times, trace.energies)]
+    rows = np.column_stack((trace.times, trace.energies)).tolist()
     out.write("spectrum.csv", [header] + rows)
     return EXIT_OK
 
@@ -183,7 +249,7 @@ def cmd_run(cfg: RunConfig, out: _OutputSet) -> int:
     }
     if cfg.protocol.direction == FORWARD:
         prep = prepare_ensemble(cfg.device, cfg.protocol, u, subspace)
-        rows = list(zip(prep.labels, prep.probabilities))
+        rows = list(zip(prep.labels.tolist(), prep.probabilities.tolist()))
         out.write("preparation.csv", [["label", "probability"]] + rows)
         report["subspace_mass"] = prep.subspace_mass
         if cfg.mode != EXACT:
@@ -255,7 +321,7 @@ def cmd_gibbs(cfg: RunConfig, out: _OutputSet) -> int:
             )
             value_header = "count"
         for dist, name in ((dist_f, "forward"), (dist_b, "backward")):
-            rows = list(zip(dist.values, dist.mass))
+            rows = list(zip(dist.values.tolist(), dist.mass.tolist()))
             out.write(f"work_{name}_{tag}.csv", [["W_rad_per_ns", value_header]] + rows)
         header = [
             "W_rad_per_ns",

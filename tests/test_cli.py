@@ -499,6 +499,18 @@ SUBSPACE_PAYLOAD_SHA256 = {
         "bk_report.json":
             "7697e86c44db9c4d842d5ae8abde9f94abc1e10f7ab359f6713907c7a88ec799",
     }),
+    "noise-trace": (["noise"], None, {
+        "noise_trace.csv":
+            "4dcdc10fe958ffb43255d1b3132a598e1e15f813eef6dc92deb09603847f77b4",
+    }),
+    # the 1 K ratio file holds an unmatched atom: a nan,...,false row
+    "gibbs-unmatched": (
+        ["gibbs", "--sampled", "--events", "20000", "--temperatures", "1,10",
+         "--seed", "3"], None, {
+            "bk_ratio_T1K.csv":
+                "43b5313d5aa77c9834f60be8aba7bf0223bb23c0edf905cbcf743264b92af011",
+        },
+    ),
 }
 
 
@@ -747,3 +759,91 @@ def test_seed_changes_sampled_output(tmp_path):
         assert code == 0
         blobs.append((out / "counts.csv").read_bytes())
     assert blobs[0] != blobs[1]
+
+
+def _oracle_cell(value, json_value):
+    """A value as the per-cell rules print it in a CSV cell or a JSON value."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        if not json_value:
+            return format(float(value), ".12g")
+        return format(float(value), ".17g") if math.isfinite(value) else "null"
+    if not json_value:
+        return str(value)
+    return "null" if value is None else json.dumps(value)
+
+
+def _oracle_json(obj, indent=0):
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, (list, dict)) and not obj:
+        return "[]" if isinstance(obj, list) else "{}"
+    if isinstance(obj, dict):
+        items = [f"{inner}{json.dumps(k)}: {_oracle_json(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, list):
+        items = [f"{inner}{_oracle_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    return _oracle_cell(obj, json_value=True)
+
+
+FLOAT_EDGES = (-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e300,
+               -1e300, 0.1, 1 / 3)
+INT_EDGES = (0, -1, 2**53 + 1, -(2**53) - 3, 2**63 - 1, -(2**63))
+
+
+def _random_value(rng, kind):
+    if kind in ("float", "np.float64"):
+        if rng.random() < 0.3:
+            value = FLOAT_EDGES[rng.integers(len(FLOAT_EDGES))]
+        else:
+            value = float(rng.standard_normal() * 10.0 ** rng.integers(-30, 30))
+        return value if kind == "float" else np.float64(value)
+    if kind in ("int", "np.int64"):
+        value = INT_EDGES[rng.integers(len(INT_EDGES))] if rng.random() < 0.4 else (
+            int(rng.integers(-(2**62), 2**62)))
+        return value if kind == "int" else np.int64(value)
+    if kind == "big int":
+        return 2**70 + int(rng.integers(1000))
+    if kind in ("bool", "np.bool_"):
+        value = bool(rng.integers(2))
+        return value if kind == "bool" else np.bool_(value)
+    if kind == "None":
+        return None
+    return ("t_ns", "e07", 'a "quoted" \\ label', "Δ", "")[rng.integers(5)]
+
+
+KINDS = ("float", "np.float64", "int", "np.int64", "big int", "bool", "np.bool_",
+         "str", "None")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_formatter_matches_per_cell_rules(seed):
+    rng = np.random.default_rng(seed)
+    # repeated row shapes reuse a template; the others are fresh type tuples
+    shapes = [["float"] * 6, ["int", "np.float64", "bool", "str"],
+              ["np.int64", "float", "float", "np.bool_"]]
+    rows = []
+    for _ in range(300):
+        if rng.random() < 0.5:
+            shape = shapes[rng.integers(len(shapes))]
+        else:
+            shape = [KINDS[i] for i in rng.integers(len(KINDS), size=rng.integers(1, 9))]
+        rows.append([_random_value(rng, kind) for kind in shape])
+
+    expected = "".join(
+        ",".join(_oracle_cell(v, json_value=False) for v in row) + "\n" for row in rows
+    )
+    assert cpbsim.cli._csv(rows) == expected
+    assert cpbsim.cli._csv(tuple(row) for row in rows) == expected
+
+    doc = {"rows": rows, "empty": [], "nested": {"x": rows[:5], "y": {}}}
+    assert cpbsim.cli._jdump(doc) == _oracle_json(doc)
+
+
+def test_json_refuses_a_type_without_a_rule():
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        cpbsim.cli._jdump({"z": [1.0, 2j]})
