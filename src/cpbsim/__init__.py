@@ -9,7 +9,7 @@ temperatures in kelvin.
 
 __version__ = "0.1.0"
 
-from .config import RunConfig, config_from_mapping, load_config
+from .config import RunConfig, config_from_mapping
 from .drive import (
     BACKWARD,
     DEFAULT_DURATION,
@@ -41,12 +41,8 @@ from .model import (
     KB_OVER_HBAR,
     BiasPoint,
     DeviceParams,
-    EigenSystem,
     beta_ratio,
-    build_hamiltonian,
     charge_labels,
-    eigensystem,
-    hermiticity_defect,
     josephson_energy,
     label_rows,
 )
@@ -65,7 +61,6 @@ from .propagate import (
     SpectrumTrace,
     evolve,
     spectrum_trace,
-    step_unitary,
     unitarity_defect,
 )
 from .thermo import (

@@ -276,7 +276,3 @@ def read_mapping(path) -> dict:
     if not isinstance(data, dict):
         raise ValueError("config file must contain a JSON object")
     return data
-
-
-def load_config(path) -> RunConfig:
-    return config_from_mapping(read_mapping(path))

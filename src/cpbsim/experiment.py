@@ -15,15 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drive import BACKWARD, FORWARD, sample_drive
-from .model import (
-    DEFAULT_SUBSPACE,
-    DeviceParams,
-    build_hamiltonian,
-    charge_labels,
-    eigensystem,
-    label_rows,
-)
-from .propagate import PropagatorConfig, evolve
+from .model import DEFAULT_SUBSPACE, DeviceParams, charge_labels, label_rows
+from .propagate import PropagatorConfig, _frozen_eigh, evolve
 
 #: Partition length for seeded event streams; sampling is reproducible for a
 #: fixed seed no matter how partitions are distributed over workers.
@@ -129,8 +122,7 @@ def prepare_ensemble(
     """
     if protocol.direction != FORWARD:
         raise ValueError("preparation is defined for forward protocols")
-    h0 = build_hamiltonian(params, sample_drive(protocol, 0.0))
-    ground = eigensystem(h0).states[:, 0]
+    ground = _frozen_eigh(params, sample_drive(protocol, 0.0))[1][:, 0]
     probabilities = np.abs(u @ ground) ** 2
     labels = charge_labels(params)
     rows = label_rows(labels, subspace)

@@ -65,18 +65,6 @@ class BiasPoint:
     gate_charge: float
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigendecomposition with a fixed phase convention.
-
-    ``energies`` ascending; ``states[:, k]`` is the k-th eigenvector with its
-    largest-magnitude component rotated to be real and positive.
-    """
-
-    energies: np.ndarray
-    states: np.ndarray
-
-
 def charge_labels(params: DeviceParams) -> np.ndarray:
     """Integer charge labels of the truncated basis, ascending."""
     half = (params.n_charges - 1) // 2
@@ -123,30 +111,15 @@ def beta_ratio(params: DeviceParams, flux: float) -> float:
     return abs(josephson_energy(params, flux)) / (4.0 * params.charging_energy)
 
 
-def build_hamiltonian(params: DeviceParams, bias: BiasPoint) -> np.ndarray:
-    """Tridiagonal charge-basis Hamiltonian at a frozen bias point.
-
-    Diagonal: 4*E_C*(n - n_g)^2. The tunneling term couples neighboring
-    charge states with -E_J/2 on the (n, n+1) side and its conjugate below,
-    so the matrix is Hermitian by construction.
-    """
-    n = charge_labels(params).astype(float)
-    ej = josephson_energy(params, bias.flux)
-    h = np.zeros((params.n_charges, params.n_charges), dtype=complex)
-    np.fill_diagonal(h, 4.0 * params.charging_energy * (n - bias.gate_charge) ** 2)
-    idx = np.arange(params.n_charges - 1)
-    h[idx, idx + 1] = -0.5 * ej
-    h[idx + 1, idx] = -0.5 * ej.conjugate()
-    return h
-
-
 def gauge_tridiagonal(params: DeviceParams, biases):
     """Real symmetric tridiagonal forms of the Hamiltonian and their gauges.
 
-    Every tunneling bond carries the same phase arg E_J, so the diagonal
-    gauge D = diag(exp(-i*n*arg E_J)) gives H = D T D^dagger with T real:
-    diagonal 4*E_C*(n - n_g)^2 as in :func:`build_hamiltonian`, and -|E_J|/2
-    on both off-diagonals.
+    The charge-basis Hamiltonian at a frozen bias point has diagonal
+    4*E_C*(n - n_g)^2 and couples neighboring charge states with -E_J/2 on
+    the (n, n+1) side and its conjugate below. Every tunneling bond carries
+    the same phase arg E_J, so the diagonal gauge
+    D = diag(exp(-i*n*arg E_J)) gives H = D T D^dagger with T real: the same
+    diagonal, and -|E_J|/2 on both off-diagonals.
 
     Takes a sequence of bias points and returns (diagonals, off-diagonals,
     gauges) with one row per bias point, shaped (instants, N), (instants,
@@ -164,30 +137,3 @@ def gauge_tridiagonal(params: DeviceParams, biases):
     rates = np.array([-1j * cmath.phase(ej) for ej in ejs])
     gauges = np.exp(rates[:, None] * n)
     return diagonals, offs, gauges
-
-
-def hermiticity_defect(h: np.ndarray) -> float:
-    """Largest elementwise magnitude of H - H^dagger."""
-    return float(np.max(np.abs(h - h.conj().T)))
-
-
-def eigensystem(h: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian operator, phases pinned.
-
-    Each eigenvector is rotated so that its largest-magnitude component is
-    real and positive, which makes the output deterministic across runs and
-    LAPACK builds (up to roundoff).
-    """
-    defect = hermiticity_defect(h)
-    scale = float(np.max(np.abs(h))) or 1.0
-    if defect > 1e-10 * scale:
-        raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
-    energies, states = np.linalg.eigh(h)
-    columns = np.arange(states.shape[1])
-    lead = states[np.argmax(np.abs(states), axis=0), columns]
-    # hypot rounds exactly like abs() of a complex scalar; np.abs may not
-    mag = np.hypot(lead.real, lead.imag)
-    pin = np.ones_like(lead)
-    nonzero = mag > 0.0
-    pin[nonzero] = lead[nonzero].conjugate() / mag[nonzero]
-    return EigenSystem(energies=energies, states=states * pin)

@@ -12,8 +12,9 @@ diagonal gauge D makes it a real symmetric tridiagonal T (see
 block of step midpoints in one call). A step is then
 U_step = D S exp(-i E dt) S^T D^dagger with T = S E S^T from LAPACK
 ``dstevd``; S and S^T are applied as real products, and consecutive steps
-share one diagonal gauge change D_new^dagger D_old. :func:`step_unitary`
-keeps the dense complex route as the reference.
+share one diagonal gauge change D_new^dagger D_old. The dense complex
+route, which diagonalizes the full H, is kept in ``tests/_dense.py`` as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -56,13 +57,6 @@ class SpectrumTrace:
 
     times: np.ndarray
     energies: np.ndarray
-
-
-def step_unitary(h: np.ndarray, dt: float) -> np.ndarray:
-    """Exact exponential exp(-i*h*dt) of a frozen Hermitian matrix."""
-    energies, states = np.linalg.eigh(h)
-    phases = np.exp(-1j * energies * dt)
-    return (states * phases) @ states.conj().T
 
 
 def _grid(span: float, dt: float):
@@ -131,6 +125,17 @@ def _eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
     # drift to ~4e-13.
     states -= states * (0.5 * (np.einsum("ij,ij->j", states, states) - 1.0))
     return energies, states
+
+
+def _frozen_eigh(params: DeviceParams, bias):
+    """Ascending eigenvalues and eigenvectors D s of H frozen at ``bias``.
+
+    Each column's sign is LAPACK's choice, so callers use only |D s|^2 = s^2
+    or products whose global phase drops out.
+    """
+    diagonals, offs, gauges = gauge_tridiagonal(params, [bias])
+    energies, states = _eigh_tridiagonal(diagonals[0], offs[0])
+    return energies, gauges[0][:, None] * states
 
 
 def _real_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:

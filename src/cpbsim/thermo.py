@@ -22,11 +22,10 @@ from .model import (
     DEFAULT_SUBSPACE,
     KB_OVER_HBAR,
     DeviceParams,
-    build_hamiltonian,
     charge_labels,
-    eigensystem,
     label_rows,
 )
+from .propagate import _frozen_eigh
 
 #: Work values closer than this (rad/ns) are treated as one atom.
 WORK_DEDUP_TOL = 1e-9
@@ -167,8 +166,8 @@ def energy_ladder(
             overlaps=np.ones(labels.size),
             bare=True,
         )
-    sys = eigensystem(build_hamiltonian(params, bias))
-    weight = np.abs(sys.states) ** 2
+    levels, states = _frozen_eigh(params, bias)
+    weight = np.abs(states) ** 2
     assigned = np.argmax(weight[rows, :], axis=1)
     overlaps = weight[rows, assigned]
     bad = overlaps < MIN_OVERLAP
@@ -182,7 +181,7 @@ def energy_ladder(
     if np.unique(assigned).size != assigned.size:
         raise ValueError("charge-to-eigenstate mapping is not a bijection")
     return EnergyLadder(
-        labels=labels, energies=sys.energies[assigned], overlaps=overlaps
+        labels=labels, energies=levels[assigned], overlaps=overlaps
     )
 
 

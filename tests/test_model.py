@@ -10,14 +10,13 @@ from cpbsim import (
     BiasPoint,
     DeviceParams,
     beta_ratio,
-    build_hamiltonian,
     charge_labels,
-    eigensystem,
-    hermiticity_defect,
     josephson_energy,
     label_rows,
 )
 from cpbsim.model import gauge_tridiagonal
+
+from _dense import build_hamiltonian, eigensystem, hermiticity_defect
 
 BIAS = BiasPoint(flux=0.5, gate_charge=-1.95)
 

@@ -9,17 +9,17 @@ from cpbsim import (
     DephasingRatioPoint,
     DetectorParams,
     DeviceParams,
-    build_hamiltonian,
     charge_labels,
     dephasing_ratio,
     detector_distinguishability,
-    eigensystem,
     kolmogorov_distance_quadrature,
     ratio_trace,
     window_width,
 )
 from cpbsim import noise
 from cpbsim.cli import main
+
+from _dense import build_hamiltonian, eigensystem
 
 
 def _dense_ratio(params, bias, k, t_bath=noise.DEFAULT_BATH_TEMPERATURE):

@@ -7,18 +7,21 @@ from cpbsim import (
     DriveProtocol,
     PropagatorConfig,
     Waveform,
-    build_hamiltonian,
     default_protocol,
     evolve,
+    prepare_ensemble,
     reverse_protocol,
+    run_protocol,
     sample_drive,
     spectrum_trace,
-    step_unitary,
+    stochasticity_defect,
     unitarity_defect,
 )
 from cpbsim import propagate
 from cpbsim.cli import main
 from cpbsim.propagate import _grid
+
+from _dense import build_hamiltonian, eigensystem, step_unitary
 
 COARSE = PropagatorConfig(time_step=1e-3)
 
@@ -122,11 +125,17 @@ def _random_device_and_protocol(rng, case):
     return params, protocol
 
 
-@pytest.mark.parametrize("case", range(6))
-def test_evolve_matches_dense_route_on_random_protocols(case):
+def _random_case(case):
+    """Seeded device, forward drive and step size of one random case."""
     rng = np.random.default_rng(1000 + case)
     params, forward = _random_device_and_protocol(rng, case)
     config = PropagatorConfig(time_step=forward.duration / rng.uniform(150.5, 300.5))
+    return params, forward, config
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_evolve_matches_dense_route_on_random_protocols(case):
+    params, forward, config = _random_case(case)
     flux = [forward.forward_bias(t).flux for t in np.linspace(0.0, forward.duration, 200)]
     assert max(np.abs(flux)) > 0.5
     for prot in (forward, reverse_protocol(forward)):
@@ -134,6 +143,65 @@ def test_evolve_matches_dense_route_on_random_protocols(case):
         reference = _dense_evolve(params, prot, config.time_step)
         assert np.max(np.abs(u - reference)) < 1e-12
         assert unitarity_defect(u) < 1e-13
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_random_protocols_are_doubly_stochastic_and_microreversible(case):
+    params, forward, config = _random_case(case)
+    backward = reverse_protocol(forward)
+    deviations = []
+    for dt in (config.time_step, config.time_step / 2.0):
+        step = PropagatorConfig(time_step=dt)
+        # each direction is propagated on its own: the backward matrix is
+        # never derived from the forward one
+        t_fwd = run_protocol(params, forward, step)
+        t_bwd = run_protocol(params, backward, step)
+        assert stochasticity_defect(t_fwd) < 1e-12
+        deviations.append(float(np.max(np.abs(t_fwd.matrix - t_bwd.matrix.T))))
+    # P_fwd = P_bwd^T holds up to the midpoint rule's error, which halving
+    # dt cuts about 4x; without tunneling (case 1) it holds to roundoff
+    coarse, fine = deviations
+    assert coarse < 1e-12 or coarse / fine >= 3.0
+
+
+def _assert_frozen_eigh_matches_dense_route(params, protocol, u):
+    """The H(0) solve against the dense route: energies, the ladder's
+    label-to-eigenstate assignment, the ground state and the preparation
+    built on it. Returns the energies and the dense eigensystem."""
+    bias = sample_drive(protocol, 0.0)
+    energies, states = propagate._frozen_eigh(params, bias)
+    dense = eigensystem(build_hamiltonian(params, bias))
+    scale = float(np.max(np.abs(dense.energies)))
+    np.testing.assert_allclose(energies, dense.energies, rtol=1e-12, atol=1e-12 * scale)
+    assert np.array_equal(
+        np.argmax(np.abs(states) ** 2, axis=1),
+        np.argmax(np.abs(dense.states) ** 2, axis=1),
+    )
+    assert abs(np.vdot(dense.states[:, 0], states[:, 0])) ** 2 >= 1.0 - 1e-14
+    reference = np.abs(u @ dense.states[:, 0]) ** 2
+    probabilities = prepare_ensemble(params, protocol, u).probabilities
+    assert np.max(np.abs(probabilities - reference)) <= 1e-14
+    return energies, dense
+
+
+def test_frozen_eigh_matches_dense_route_at_default_bias(
+    params, protocol, u_forward, ladder_full
+):
+    energies, dense = _assert_frozen_eigh_matches_dense_route(params, protocol, u_forward)
+    assert np.array_equal(energies, dense.energies)
+    # the ladder on every label takes the dense route's energies, to the bit
+    assigned = np.argmax(np.abs(dense.states) ** 2, axis=1)
+    assert np.array_equal(ladder_full.energies, dense.energies[assigned])
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_frozen_eigh_matches_dense_route_on_random_biases(params, case):
+    # the seeded device of each case (E_J = 0 in case 1, asymmetry 0 in
+    # case 0) and the default device, each at the t = 0 bias of the drive
+    random_params, forward, config = _random_case(case)
+    for device in (random_params, params):
+        u = evolve(device, forward, config)
+        _assert_frozen_eigh_matches_dense_route(device, forward, u)
 
 
 def test_evolve_assembly_blocks_do_not_change_u(monkeypatch, params, protocol):
