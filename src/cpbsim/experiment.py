@@ -182,57 +182,101 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _count_below(x: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """``#{x < t}`` for each threshold t, one comparison pass per threshold."""
-    return np.array([np.count_nonzero(x < t) for t in thresholds], dtype=np.int64)
+def _count_below(
+    x: np.ndarray, thresholds: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """``#{x < t}`` for each threshold t, one comparison pass per threshold.
+
+    Every pass writes its comparison into ``mask[:x.size]``, so counting
+    allocates no temporary the size of ``x``.
+    """
+    out = mask[: x.size]
+    return np.array(
+        [np.count_nonzero(np.less(x, t, out=out)) for t in thresholds], dtype=np.int64
+    )
 
 
-def _pair_counts(rng, initial_probs, columns, size, rows):
+def _column_table(column: np.ndarray, rows: np.ndarray):
+    """Comparison thresholds of one second-label table and their index maps.
+
+    Returns ``(needed, upper, lower)``: outcome ``rows[k]`` is hit by
+    ``#{x < needed[upper[k]]} - #{x < needed[lower[k]]}`` uniforms, the
+    bounds ``cdf[rows[k]]`` and ``cdf[rows[k] - 1]`` (0 below the first
+    outcome, as x >= 0), each distinct bound compared once.
+    """
+    bounds = np.concatenate(([0.0], _cdf(column)))
+    needed = np.unique(np.concatenate((bounds[rows], bounds[rows + 1])))
+    upper = needed.searchsorted(bounds[rows + 1])
+    lower = needed.searchsorted(bounds[rows])
+    return needed, upper, lower
+
+
+def _pair_counts(partitions, initial_probs, columns, rows):
     """Two-point event histogram restricted to final indices ``rows``.
 
-    ``counts[j, k]`` is the number of events with initial index j, drawn from
-    ``initial_probs``, and final index ``rows[k]``, drawn from column j of
-    ``columns``.
+    ``partitions`` is a sequence of ``(rng, size)`` pairs. ``counts[j, k]``
+    is the number of events, summed over the partitions, with initial index
+    j, drawn from ``initial_probs``, and final index ``rows[k]``, drawn from
+    column j of ``columns``.
 
-    Stream contract: the counts and the generator's final state equal those
-    of ``first = rng.choice(n, size, p=initial_probs)`` followed by one
-    ``rng.choice(m, hits_j, p=columns[:, j])`` per initial index j with
-    hits, in increasing j. That is one block ``u`` of ``size`` uniforms for
-    the first indices, then a block ``v`` of ``size`` uniforms consumed label
-    by label. No per-event label array is built: outcome k of a table c is
-    hit by #{x < c[k]} - #{x < c[k-1]} uniforms, exact integer arithmetic on
-    comparison counts.
+    Stream contract: for each partition, the counts and the generator's
+    final state equal those of ``first = rng.choice(n, size,
+    p=initial_probs)`` followed by one ``rng.choice(m, hits_j, p=columns[:,
+    j])`` per initial index j with hits, in increasing j. That is one block
+    ``u`` of ``size`` uniforms for the first indices, then a block ``v`` of
+    ``size`` uniforms consumed label by label. No per-event label array is
+    built: outcome k of a table c is hit by #{x < c[k]} - #{x < c[k-1]}
+    uniforms, exact integer arithmetic on comparison counts.
+
+    Buffer contract: one call allocates one draw buffer of twice the largest
+    partition and one boolean mask of the largest partition. Each partition
+    fills ``u`` and ``v`` with a single ``rng.random(out=...)``, which reads
+    the stream exactly as two ``rng.random(size)`` calls do, and every
+    comparison pass writes into the mask. Entries of the first-label table
+    that equal 1.0 lie above every uniform, so they get no pass: the last
+    entry, which :func:`_cdf` normalises to exactly 1.0, and any entries
+    before it that round to 1.0. A column's table is built on its first
+    hit, so, as with ``choice``, a column that no event reaches is never
+    checked.
     """
-    u = rng.random(size)
-    v = rng.random(size)
-    hits = np.diff(_count_below(u, _cdf(initial_probs)), prepend=0)
+    cdf = _cdf(initial_probs)
+    first = cdf[cdf < 1.0]  # a prefix: the table is non-decreasing
+    largest = max(size for _rng, size in partitions)
+    draws = np.empty(2 * largest)
+    mask = np.empty(largest, dtype=bool)
+    tables = {}
     counts = np.zeros((initial_probs.size, rows.size), dtype=np.int64)
-    start = 0
-    for j, h in enumerate(hits):
-        if h:
-            x = v[start : start + h]
-            # bounds[k] = cdf[k-1], with 0 below the first outcome (x >= 0)
-            bounds = np.concatenate(([0.0], _cdf(columns[:, j])))
-            needed = np.unique(np.concatenate((bounds[rows], bounds[rows + 1])))
-            below = _count_below(x, needed)
-            upper = below[needed.searchsorted(bounds[rows + 1])]
-            lower = below[needed.searchsorted(bounds[rows])]
-            counts[j] = upper - lower
-            start += h
+    for rng, size in partitions:
+        rng.random(out=draws[: 2 * size])
+        u, v = draws[:size], draws[size : 2 * size]
+        below_cdf = np.full(cdf.size, size)
+        below_cdf[: first.size] = _count_below(u, first, mask)
+        hits = np.diff(below_cdf, prepend=0)
+        start = 0
+        for j, h in enumerate(hits):
+            if h:
+                if j not in tables:
+                    tables[j] = _column_table(columns[:, j], rows)
+                needed, upper, lower = tables[j]
+                below = _count_below(v[start : start + h], needed, mask)
+                counts[j] += below[upper] - below[lower]
+                start += h
     return counts
 
 
 def _sample_pair_counts(seed, n_events, initial_probs, columns, rows):
-    """:func:`_pair_counts` summed over the seeded partitions of ``n_events``.
+    """:func:`_pair_counts` over the seeded partitions of ``n_events``.
 
     Each partition of :func:`partition_seeds` gets its own generator, so the
-    result does not depend on how partitions would be scheduled.
+    result does not depend on how partitions would be scheduled. The draw
+    buffer (``2 × min(n_events, EVENT_PARTITION)`` floats), the mask and the
+    threshold tables are made once for the whole call, not per partition.
     """
-    counts = np.zeros((initial_probs.size, rows.size), dtype=np.int64)
-    for _start, length, seq in partition_seeds(seed, n_events):
-        rng = np.random.default_rng(seq)
-        counts += _pair_counts(rng, initial_probs, columns, length, rows)
-    return counts
+    partitions = [
+        (np.random.default_rng(seq), length)
+        for _start, length, seq in partition_seeds(seed, n_events)
+    ]
+    return _pair_counts(partitions, initial_probs, columns, rows)
 
 
 def sample_experiment(

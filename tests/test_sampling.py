@@ -99,7 +99,7 @@ def test_draw_pairs_and_counts_follow_the_choice_stream(
         # sample_experiment does
         for rows in (cols, np.arange(trans.labels.size)):
             rng = np.random.default_rng(seed)
-            counts = _pair_counts(rng, probs, columns, size, rows)
+            counts = _pair_counts([(rng, size)], probs, columns, rows)
             expected = np.zeros_like(counts)
             back = {int(r): k for k, r in enumerate(rows)}
             for f, s in zip(ref_first, ref_second):
@@ -110,14 +110,21 @@ def test_draw_pairs_and_counts_follow_the_choice_stream(
 
 
 class _FixedUniforms:
-    """Stand-in generator that hands out preset uniforms in order."""
+    """Stand-in generator that hands out preset uniforms in order.
+
+    ``random`` takes ``size`` or ``out`` as ``Generator.random`` does.
+    """
 
     def __init__(self, values):
         self._values = np.asarray(values, dtype=float)
 
-    def random(self, size):
-        out, self._values = self._values[:size], self._values[size:]
-        assert out.size == size
+    def random(self, size=None, out=None):
+        n = out.size if size is None else size
+        values, self._values = self._values[:n], self._values[n:]
+        assert values.size == n
+        if out is None:
+            return values
+        out[...] = values
         return out
 
 
@@ -142,8 +149,85 @@ def test_pair_counts_on_table_boundaries():
     stream = np.concatenate((u, v))
     for rows in ([3, 0, 2], [1], [0, 1, 2, 3]):
         rows = np.asarray(rows)
-        counts = _pair_counts(_FixedUniforms(stream), probs, columns, u.size, rows)
+        fixed = _FixedUniforms(stream)
+        counts = _pair_counts([(fixed, u.size)], probs, columns, rows)
         assert np.array_equal(counts, expected[:, rows])
+        assert fixed._values.size == 0
+
+
+def _reference_partition_counts(partitions, initial_probs, columns, rows):
+    """Summed ``_reference_draw`` histogram of (seed, size) partitions.
+
+    Returns the counts over final indices ``rows`` and each partition's
+    generator after its draws.
+    """
+    counts = np.zeros((initial_probs.size, rows.size), dtype=np.int64)
+    back = np.full(columns.shape[0], -1)
+    back[rows] = np.arange(rows.size)
+    rngs = []
+    for seed, size in partitions:
+        rng = np.random.default_rng(seed)
+        first, second = _reference_draw(rng, initial_probs, columns, size)
+        inside = back[second] >= 0
+        np.add.at(counts, (first[inside], back[second[inside]]), 1)
+        rngs.append(rng)
+    return counts, rngs
+
+
+# first-label tables whose entries at 1.0 get no comparison pass: a sum
+# 1e-9 short of 1, inside _cdf's tolerance, where only the normalised last
+# entry is 1.0, and a last probability of 0, where cdf[-2] == cdf[-1] == 1.0
+EDGE_FIRST_PROBS = {
+    "short-sum": np.array([0.2, 0.3, 0.1, 0.4 - 1e-9]),
+    "zero-last": np.array([0.25, 0.5, 0.25, 0.0]),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", EDGE_FIRST_PROBS)
+def test_pair_counts_skip_first_label_entries_at_one(seed, case):
+    probs = EDGE_FIRST_PROBS[case]
+    cdf = _cdf(probs)
+    assert cdf[-1] == 1.0
+    if case == "zero-last":
+        assert cdf[-2] == 1.0
+    columns = np.random.default_rng(seed % 97).dirichlet(np.ones(6), size=4).T
+    columns[5, 1] = 0.0  # a column whose table also ends on a repeated 1.0
+    columns /= columns.sum(axis=0, keepdims=True)
+    for rows in (np.arange(6), np.array([4, 0, 5])):
+        ref, ref_rngs = _reference_partition_counts([(seed, 999)], probs, columns, rows)
+        rng = np.random.default_rng(seed)
+        counts = _pair_counts([(rng, 999)], probs, columns, rows)
+        assert np.array_equal(counts, ref)
+        assert rng.bit_generator.state == ref_rngs[0].bit_generator.state
+        if case == "zero-last":
+            assert not counts[-1].any()
+
+
+# uneven partitions, a larger one after a short one and a short last one:
+# every partition reuses the one draw buffer and mask, sized by the largest
+PARTITION_SIZES = ((999, 3, 1000, 17), (EVENT_PARTITION, 17))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("sizes", PARTITION_SIZES)
+def test_partitions_share_one_buffer(seed, sizes, trans_forward, ladders):
+    ladder = ladders["9-unsorted"]
+    cols, columns = _ladder_columns(trans_forward, ladder)
+    probs = gibbs_weights(ladder, 30.0).weights
+    partitions = [(seed + k, size) for k, size in enumerate(sizes)]
+    for rows in (cols, np.arange(trans_forward.labels.size)):
+        ref, ref_rngs = _reference_partition_counts(partitions, probs, columns, rows)
+        rngs = [np.random.default_rng(s) for s, _size in partitions]
+        counts = _pair_counts(
+            [(rng, size) for rng, (_s, size) in zip(rngs, partitions)],
+            probs,
+            columns,
+            rows,
+        )
+        assert np.array_equal(counts, ref)
+        for rng, ref_rng in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # Both sizes above EVENT_PARTITION run for every seed; directions, ladders
