@@ -20,6 +20,7 @@ reference the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.linalg.lapack import dstevd, dsterf
@@ -30,10 +31,11 @@ from .model import DeviceParams, gauge_tridiagonal
 #: Step size (ns) used by the benchmark runs.
 DEFAULT_TIME_STEP = 1e-4
 
-# Steps whose tridiagonal forms are assembled in one call. The assembly
-# holds about 1.6 kB per step at N = 51, so a block keeps evolve's memory
-# independent of the step count.
-_ASSEMBLY_BLOCK = 1024
+# Steps whose tridiagonal forms are assembled in one call. A block's step
+# midpoints are generated as it is assembled, and the assembly holds about
+# 1.6 kB per step at N = 51 (200 kB per block), so evolve's scratch memory
+# does not grow with the step count. The block size changes no bit of U.
+_ASSEMBLY_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,15 @@ def _grid(span: float, dt: float):
         remainder = 0.0
     return n_full, remainder
 
+
+def _steps(t_start: float, dt: float, n_full: int, remainder: float):
+    """(midpoint, length) of each step from ``t_start``, generated lazily."""
+    for j in range(n_full):
+        yield t_start + (j + 0.5) * dt, dt
+    if remainder > 0.0:
+        yield t_start + n_full * dt + 0.5 * remainder, remainder
+
+
 def evolve(
     params: DeviceParams,
     protocol,
@@ -92,15 +103,11 @@ def evolve(
             f"time_step {dt} too coarse for duration {duration}; "
             "need at least 100 steps"
         )
-    n_full, remainder = _grid(t_stop - t_start, dt)
-    steps = [(t_start + (j + 0.5) * dt, dt) for j in range(n_full)]
-    if remainder > 0.0:
-        steps.append((t_start + n_full * dt + 0.5 * remainder, remainder))
+    steps = _steps(t_start, dt, *_grid(t_stop - t_start, dt))
     # w = D^dagger U in the gauge D of the latest step (D = 1 before the first)
     w = np.eye(params.n_charges, dtype=complex)
     gauge = np.ones(params.n_charges, dtype=complex)
-    for first in range(0, len(steps), _ASSEMBLY_BLOCK):
-        block = steps[first : first + _ASSEMBLY_BLOCK]
+    while block := list(islice(steps, _ASSEMBLY_BLOCK)):
         rows = gauge_tridiagonal(
             params, [sample_drive(protocol, t_mid) for t_mid, _ in block]
         )

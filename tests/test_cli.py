@@ -506,6 +506,31 @@ SUBSPACE_PAYLOAD_SHA256 = {
         "noise_trace.csv":
             "4dcdc10fe958ffb43255d1b3132a598e1e15f813eef6dc92deb09603847f77b4",
     }),
+    # 250,017 events span a full 250k-event partition, which the sampler
+    # draws in several blocks of uniforms, and a 17-event one. The values
+    # were recorded with a sampler that drew each partition's uniforms in
+    # one call, so they also show that the block size changes no byte
+    "gibbs-sampled-blocks": (
+        ["gibbs", "--sampled", "--events", "250017", "--temperatures", "1,10"],
+        None, {
+            "work_forward_T1K.csv":
+                "6566b4c86ed715a9f92739ab6bbdc60c916881bfcbb782137fbd1e5083a621bd",
+            "work_backward_T1K.csv":
+                "5bb039a6ce83e8f9f34c889007c3f910de1455c8115807144190cd5fb0855a6c",
+            "work_forward_T10K.csv":
+                "eda17c1832219b86b850f577c018c1e87772ff7a92ce1c11098fdff9b1e0b954",
+            "work_backward_T10K.csv":
+                "4c5159c08cd51c7941f3fae7efb4dec43a91b1c5b5eb983e9116d77b522ce9d4",
+            "bk_ratio_T1K.csv":
+                "21184fb487628a3362ab9508ab83267f7b4ac0e4c9a36f3030850e2943b8570c",
+            "bk_ratio_T10K.csv":
+                "d5e867d5447ac8564a7083da7cb7b62e2c903526ef9e80de16da0a7823794695",
+            "bk_table.csv":
+                "1d1a1cee9cab65a2e3285acf22bba9b183e0fe26f40998edb93aae0258aacd5b",
+            "bk_report.json":
+                "28e1ee0ce6e7b37d336f3857df72d0543ff58838a9171ddb4b20959478ba4a98",
+        },
+    ),
     # the 1 K ratio file holds an unmatched atom: a nan,...,false row
     "gibbs-unmatched": (
         ["gibbs", "--sampled", "--events", "20000", "--temperatures", "1,10",

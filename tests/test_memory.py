@@ -1,0 +1,55 @@
+"""Scratch-memory bounds of the two hot paths.
+
+The two-point sampler draws its uniforms in fixed-size blocks, and
+``evolve`` assembles and steps through fixed-size blocks of steps, so
+neither holds scratch memory that grows with the event or step count. The
+bounds are on the peak heap that ``tracemalloc`` sees during one call, over
+what was already held before it.
+"""
+
+import tracemalloc
+
+from cpbsim import (
+    PropagatorConfig,
+    energy_ladder,
+    evolve,
+    gibbs_weights,
+    sample_experiment,
+    sample_work,
+)
+
+MIB = 2**20
+
+
+def _scratch_peak(fn, *args):
+    """Largest traced heap, in bytes, that ``fn(*args)`` adds at any time."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_sample_work_scratch_is_bounded(params, protocol, trans_forward):
+    ladder = energy_ladder(params, protocol)
+    weights = gibbs_weights(ladder, 10.0)
+    assert _scratch_peak(sample_work, weights, trans_forward, ladder, 10**6, 7) <= MIB
+
+
+def test_sample_experiment_scratch_is_bounded(preparation, trans_forward):
+    assert _scratch_peak(sample_experiment, preparation, trans_forward, 10**6, 7) <= MIB
+
+
+def test_evolve_scratch_does_not_grow_with_steps(params, protocol):
+    # 6,667 steps at the default dt against 667: a tenfold step count may
+    # not raise the peak by more than a quarter MiB
+    coarse = _scratch_peak(evolve, params, protocol, PropagatorConfig(1e-3))
+    fine = _scratch_peak(evolve, params, protocol, PropagatorConfig(1e-4))
+    assert fine <= MIB
+    assert fine - coarse < 0.25 * MIB

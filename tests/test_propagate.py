@@ -206,11 +206,16 @@ def test_frozen_eigh_matches_dense_route_on_random_biases(params, case):
 
 def test_evolve_assembly_blocks_do_not_change_u(monkeypatch, params, protocol):
     # the tridiagonal forms are assembled a block of steps at a time; the
-    # block size must not change a bit of U, remainder step included
+    # block size must not change a bit of U, remainder step included. Block
+    # 1 assembles each step alone, 7 leaves a short last block, and 1000
+    # holds the whole window in one block
     window = (0.1, 0.1 + 0.2 / 3.0)
+    n_full, remainder = _grid(window[1] - window[0], COARSE.time_step)
+    assert remainder > 0.0 and (n_full + 1) % 7 and n_full + 1 < 1000
     u = evolve(params, protocol, COARSE, *window)
-    monkeypatch.setattr(propagate, "_ASSEMBLY_BLOCK", 7)
-    assert np.array_equal(evolve(params, protocol, COARSE, *window), u)
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(propagate, "_ASSEMBLY_BLOCK", block)
+        assert np.array_equal(evolve(params, protocol, COARSE, *window), u)
 
 
 def test_evolve_lapack_failure_raises_and_exits_2(monkeypatch, tmp_path, params, protocol):

@@ -18,7 +18,15 @@ from cpbsim import (
     sample_experiment,
     sample_work,
 )
-from cpbsim.experiment import EVENT_PARTITION, _cdf, _pair_counts, partition_seeds
+from cpbsim import experiment
+from cpbsim.experiment import (
+    _DRAW_BLOCK,
+    EVENT_PARTITION,
+    _cdf,
+    _column_table,
+    _pair_counts,
+    partition_seeds,
+)
 from cpbsim.thermo import _work_grid
 
 SEEDS = (0, 9, 2**63 - 5)
@@ -174,6 +182,25 @@ def _reference_partition_counts(partitions, initial_probs, columns, rows):
     return counts, rngs
 
 
+def _assert_partitions_follow_reference(partitions, initial_probs, columns, rows):
+    """Check ``_pair_counts`` on seeded ``(seed, size)`` partitions.
+
+    The counts and each generator's final state must equal those of
+    ``_reference_partition_counts``.
+    """
+    ref, ref_rngs = _reference_partition_counts(partitions, initial_probs, columns, rows)
+    rngs = [np.random.default_rng(seed) for seed, _size in partitions]
+    counts = _pair_counts(
+        [(rng, size) for rng, (_seed, size) in zip(rngs, partitions)],
+        initial_probs,
+        columns,
+        rows,
+    )
+    assert np.array_equal(counts, ref)
+    for rng, ref_rng in zip(rngs, ref_rngs):
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 # first-label tables whose entries at 1.0 get no comparison pass: a sum
 # 1e-9 short of 1, inside _cdf's tolerance, where only the normalised last
 # entry is 1.0, and a last probability of 0, where cdf[-2] == cdf[-1] == 1.0
@@ -205,7 +232,8 @@ def test_pair_counts_skip_first_label_entries_at_one(seed, case):
 
 
 # uneven partitions, a larger one after a short one and a short last one:
-# every partition reuses the one draw buffer and mask, sized by the largest
+# every partition reuses the one draw block and mask, sized by the largest
+# partition up to _DRAW_BLOCK
 PARTITION_SIZES = ((999, 3, 1000, 17), (EVENT_PARTITION, 17))
 
 
@@ -217,17 +245,50 @@ def test_partitions_share_one_buffer(seed, sizes, trans_forward, ladders):
     probs = gibbs_weights(ladder, 30.0).weights
     partitions = [(seed + k, size) for k, size in enumerate(sizes)]
     for rows in (cols, np.arange(trans_forward.labels.size)):
-        ref, ref_rngs = _reference_partition_counts(partitions, probs, columns, rows)
-        rngs = [np.random.default_rng(s) for s, _size in partitions]
-        counts = _pair_counts(
-            [(rng, size) for rng, (_s, size) in zip(rngs, partitions)],
-            probs,
-            columns,
-            rows,
-        )
-        assert np.array_equal(counts, ref)
-        for rng, ref_rng in zip(rngs, ref_rngs):
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        _assert_partitions_follow_reference(partitions, probs, columns, rows)
+
+
+# every block size meets both partition lists, except block 1 with the
+# 250k-event partition: that costs half a million Python rounds and splits
+# nothing that block 1 on the short partitions and block 7 on the long one
+# do not already split
+DRAW_BLOCK_CASES = [
+    pytest.param(block, sizes, id=f"{block}-{'-'.join(map(str, sizes))}")
+    for block in (1, 7, 1000, _DRAW_BLOCK)
+    for sizes in PARTITION_SIZES
+    if block > 1 or max(sizes) < EVENT_PARTITION
+]
+
+
+@pytest.mark.parametrize("block,sizes", DRAW_BLOCK_CASES)
+def test_pair_counts_do_not_depend_on_draw_block(
+    monkeypatch, block, sizes, trans_forward, ladders
+):
+    # the uniforms are drawn and compared a block at a time, and a label's
+    # run of second-label uniforms is split where a block ends; block 1
+    # splits every run, 7 and 1000 split runs and partitions unevenly
+    monkeypatch.setattr(experiment, "_DRAW_BLOCK", block)
+    ladder = ladders["9-unsorted"]
+    cols, columns = _ladder_columns(trans_forward, ladder)
+    probs = gibbs_weights(ladder, 30.0).weights
+    partitions = [(11 + k, size) for k, size in enumerate(sizes)]
+    _assert_partitions_follow_reference(partitions, probs, columns, cols)
+
+
+def test_column_tables_compare_only_inside_the_unit_interval(
+    preparation, trans_forward
+):
+    # sample_experiment counts over every row, so each column's bounds run
+    # from 0.0 to 1.0; those two take their counts without a comparison pass
+    columns = trans_forward.matrix / trans_forward.matrix.sum(axis=0, keepdims=True)
+    probs = preparation.probabilities / preparation.probabilities.sum()
+    rows = np.arange(trans_forward.labels.size)
+    for j in range(columns.shape[1]):
+        needed, upper, lower = _column_table(columns[:, j], rows)
+        assert ((needed > 0.0) & (needed < 1.0)).all()
+        assert lower[0] == 0 and upper[-1] == needed.size + 1
+    for seed in SEEDS:
+        _assert_partitions_follow_reference([(seed, 20_000)], probs, columns, rows)
 
 
 # Both sizes above EVENT_PARTITION run for every seed; directions, ladders
