@@ -14,7 +14,6 @@ threshold (currently the microreversibility tolerance) was exceeded.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import hashlib
 import json
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_from_mapping, read_mapping
+from .config import RunConfig, _section, config_from_mapping, read_mapping
 from .drive import FORWARD
 from .drive import reverse_protocol
 from .experiment import (
@@ -392,7 +391,8 @@ _KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 
 def _merge_overrides(mapping: dict, args: argparse.Namespace) -> dict:
     """``mapping`` with each given flag's value at the dotted key its dest names."""
-    merged = copy.deepcopy(mapping)
+    # every section on a flag's path is copied as it is entered
+    merged = dict(mapping)
     for dest, value in vars(args).items():
         if value is None or dest.split(".")[0] not in _KEYS:
             continue
@@ -407,12 +407,8 @@ def _merge_overrides(mapping: dict, args: argparse.Namespace) -> dict:
         *sections, key = dest.split(".")
         target = merged
         for name in sections:
-            # a null section reads as {}, as in config_from_mapping
-            if target.get(name) is None:
-                target[name] = {}
+            target[name] = _section(name, target.get(name))
             target = target[name]
-            if not isinstance(target, dict):
-                raise ValueError(f"config section {name!r} must be a JSON object")
         target[key] = value
     return merged
 
@@ -476,13 +472,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         mapping = {} if args.config is None else read_mapping(args.config)
-        mapping = _merge_overrides(mapping, args)
-        cfg = config_from_mapping(mapping)
-    except (OSError, ValueError) as exc:
-        print(f"cpbsim: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _OutputSet(cfg.output_dir)
-    try:
+        cfg = config_from_mapping(_merge_overrides(mapping, args))
+        out = _OutputSet(cfg.output_dir)
         code = args.func(cfg, out)
         out.manifest(cfg)
         return code

@@ -16,14 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple, Union
 
-from .drive import (
-    BACKWARD,
-    FORWARD,
-    DriveProtocol,
-    TabulatedProtocol,
-    default_protocol,
-    load_waveform_table,
-)
+from .drive import DriveProtocol, TabulatedProtocol, load_waveform_table
 from .model import DEFAULT_SUBSPACE, DeviceParams, charge_labels, label_rows
 from .noise import DEFAULT_BATH_TEMPERATURE, DetectorParams
 from .propagate import PropagatorConfig
@@ -32,29 +25,13 @@ from .thermo import EXACT, SAMPLED
 DEFAULT_SEED = 20260814
 
 
-class _Section:
-    """One config mapping; tracks handed-out keys to reject leftovers."""
-
-    def __init__(self, name: str, data: Any) -> None:
-        if data is None:
-            data = {}
-        if not isinstance(data, Mapping):
-            raise ValueError(f"config section {name!r} must be a JSON object")
-        self.name = name
-        self._data = dict(data)
-        self._seen: set = set()
-
-    def take(self, key: str, default: Any) -> Any:
-        self._seen.add(key)
-        return self._data.get(key, default)
-
-    def has(self, key: str) -> bool:
-        return key in self._data
-
-    def close(self) -> None:
-        unknown = sorted(set(self._data) - self._seen)
-        if unknown:
-            raise ValueError(f"unknown config key(s) in {self.name}: {unknown}")
+def _section(name: str, data: Any) -> dict:
+    """Copy of config section ``name``; ``null`` reads as ``{}``."""
+    if data is None:
+        return {}
+    if not isinstance(data, Mapping):
+        raise ValueError(f"config section {name!r} must be a JSON object")
+    return dict(data)
 
 
 def _float(name: str, value: Any) -> float:
@@ -114,76 +91,53 @@ def _fields(name: str, data: Any, ref, prefix: Optional[str] = None):
     An absent key keeps ``ref``'s value. A present one is read by the
     ``read`` entry of the field's metadata, else by :func:`_reader` of
     ``ref``'s value, and named ``prefix + key`` (``prefix`` defaults to
-    ``name + "."``); the dataclass itself validates the values.
+    ``name + "."``); the dataclass itself validates the values. A key that
+    names no field is refused.
     """
-    sec = _Section(name, data)
+    sec = _section(name, data)
     if prefix is None:
         prefix = f"{name}."
     values = {}
     for f in dataclasses.fields(ref):
-        if sec.has(f.name):
+        if f.name in sec:
             read = f.metadata.get("read") or _reader(getattr(ref, f.name))
-            values[f.name] = read(prefix + f.name, sec.take(f.name, None))
+            values[f.name] = read(prefix + f.name, sec.pop(f.name))
     out = dataclasses.replace(ref, **values)
-    sec.close()
+    if sec:
+        raise ValueError(f"unknown config key(s) in {name}: {sorted(sec)}")
     return out
 
 
 def _protocol(name: str, data: Any):
-    sec = _Section(name, data)
-    family = _str("protocol.family", sec.take("family", "cosine"))
-    direction = _str("protocol.direction", sec.take("direction", FORWARD))
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError("protocol.direction must be 'forward' or 'backward'")
-    mirror_time = _bool("protocol.mirror_time", sec.take("mirror_time", True))
-    invert_flux = _bool("protocol.invert_flux", sec.take("invert_flux", True))
-    if family == "cosine":
-        ref = default_protocol()
-        duration = _float("protocol.duration", sec.take("duration", ref.duration))
-        flux = _fields("protocol.flux", sec.take("flux", {}), ref.flux)
-        gate = _fields("protocol.gate", sec.take("gate", {}), ref.gate)
-        sec.close()
-        return DriveProtocol(
-            flux=flux,
-            gate=gate,
-            duration=duration,
-            direction=direction,
-            mirror_time=mirror_time,
-            invert_flux=invert_flux,
-        )
+    """The protocol section: a cosine drive, or a waveform table's switches."""
+    sec = _section(name, data)
+    family = _str("protocol.family", sec.pop("family", "cosine"))
     if family == "table":
-        if not sec.has("table_path"):
+        if "table_path" not in sec:
             raise ValueError("protocol.family 'table' requires protocol.table_path")
-        path = _str("protocol.table_path", sec.take("table_path", None))
-        if sec.has("duration"):
+        path = _str("protocol.table_path", sec.pop("table_path"))
+        if "duration" in sec:
             raise ValueError("a waveform table defines its own duration")
-        if sec.has("flux") or sec.has("gate"):
+        if "flux" in sec or "gate" in sec:
             raise ValueError("waveform tables do not take flux/gate sections")
-        sec.close()
-        return dataclasses.replace(
-            load_waveform_table(path),
-            direction=direction,
-            mirror_time=mirror_time,
-            invert_flux=invert_flux,
-        )
-    raise ValueError("protocol.family must be 'cosine' or 'table'")
+    elif family != "cosine":
+        raise ValueError("protocol.family must be 'cosine' or 'table'")
+    drive = _fields(name, sec, DriveProtocol())
+    if family == "cosine":
+        return drive
+    return dataclasses.replace(load_waveform_table(path), **_switches(drive))
+
+
+def _switches(protocol) -> dict:
+    """The reversal switches, the keys a table shares with a cosine drive."""
+    keys = ("direction", "mirror_time", "invert_flux")
+    return {k: getattr(protocol, k) for k in keys}
 
 
 def _protocol_echo(protocol) -> dict:
-    switches = {
-        "direction": protocol.direction,
-        "mirror_time": protocol.mirror_time,
-        "invert_flux": protocol.invert_flux,
-    }
     if isinstance(protocol, TabulatedProtocol):
-        return {"family": "table", "table_path": protocol.path, **switches}
-    return {
-        "family": "cosine",
-        "duration": protocol.duration,
-        **switches,
-        "flux": dataclasses.asdict(protocol.flux),
-        "gate": dataclasses.asdict(protocol.gate),
-    }
+        return {"family": "table", "table_path": protocol.path, **_switches(protocol)}
+    return {"family": "cosine", **dataclasses.asdict(protocol)}
 
 
 def _subspace(name: str, value: Any) -> Union[Tuple[int, ...], str]:
@@ -214,7 +168,7 @@ class RunConfig:
 
     device: DeviceParams = DeviceParams()
     protocol: Union[DriveProtocol, TabulatedProtocol] = field(
-        default=default_protocol(),
+        default=DriveProtocol(),
         metadata={"read": _protocol, "echo": _protocol_echo},
     )
     propagator: PropagatorConfig = PropagatorConfig()

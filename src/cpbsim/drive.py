@@ -51,16 +51,19 @@ class Waveform:
 class DriveProtocol:
     """Cosine flux/gate drive over [0, duration].
 
-    ``mirror_time`` and ``invert_flux`` default to the physical reversal
-    recipe and only matter when ``direction`` is backward.
+    The defaults are the benchmark drive: flux swings over [-1/2, 1/2] flux
+    quanta while the gate charge sweeps 0.05 - 2*cos(2*pi*1.5*t), both at
+    1.5 cycles/ns over one period, t in ns. ``mirror_time`` and
+    ``invert_flux`` default to the physical reversal recipe and only matter
+    when ``direction`` is backward.
     """
 
-    flux: Waveform
-    gate: Waveform
     duration: float = DEFAULT_DURATION
     direction: str = FORWARD
     mirror_time: bool = True
     invert_flux: bool = True
+    flux: Waveform = Waveform(offset=0.0, amplitude=0.5, frequency=DEFAULT_FREQUENCY)
+    gate: Waveform = Waveform(offset=0.05, amplitude=-2.0, frequency=DEFAULT_FREQUENCY)
 
     def __post_init__(self) -> None:
         _check_direction(self.direction)
@@ -117,19 +120,12 @@ class TabulatedProtocol:
 
 def _check_direction(direction: str) -> None:
     if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
+        raise ValueError(f"protocol.direction must be {FORWARD!r} or {BACKWARD!r}")
 
 
 def default_protocol() -> DriveProtocol:
-    """The benchmark drive: half-quantum flux cosine against a wide gate sweep.
-
-    Flux swings over [-1/2, 1/2] flux quanta while the gate charge sweeps
-    0.05 - 2*cos(2*pi*1.5*t), both at 1.5 cycles/ns over one period, t in ns.
-    """
-    return DriveProtocol(
-        flux=Waveform(offset=0.0, amplitude=0.5, frequency=DEFAULT_FREQUENCY),
-        gate=Waveform(offset=0.05, amplitude=-2.0, frequency=DEFAULT_FREQUENCY),
-    )
+    """The benchmark drive, ``DriveProtocol()``."""
+    return DriveProtocol()
 
 
 def sample_drive(protocol, t: float) -> BiasPoint:
@@ -169,7 +165,14 @@ def load_waveform_table(path) -> TabulatedProtocol:
             raise ValueError(
                 f"{path}: waveform table header must be {','.join(expected)}"
             )
-        rows = [[float(cell) for cell in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(expected):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(expected)}"
+                )
+            rows.append([float(cell) for cell in row])
     if len(rows) < 2:
         raise ValueError(f"{path}: waveform table needs at least two samples")
     data = np.asarray(rows, dtype=float)

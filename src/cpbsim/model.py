@@ -68,7 +68,11 @@ class BiasPoint:
 def charge_labels(params: DeviceParams) -> np.ndarray:
     """Integer charge labels of the truncated basis, ascending."""
     half = (params.n_charges - 1) // 2
-    return np.arange(-half, half + 1)
+    labels = np.arange(-half, half + 1)
+    # when the basis size overflows int64, arange returns an empty array
+    if labels.size != params.n_charges:
+        raise ValueError(f"n_charges {params.n_charges} is too large for a basis")
+    return labels
 
 
 def label_rows(labels: np.ndarray, subset) -> np.ndarray:
@@ -126,13 +130,16 @@ def gauge_tridiagonal(params: DeviceParams, biases):
     N - 1) and (instants, N). Each row's off-diagonal and gauge come from
     one ``josephson_energy`` value, evaluated per bias point with scalar
     arithmetic; the rows are then assembled as array operations, with the
-    same floating-point results as a row built on its own.
+    same floating-point results as a row built on its own. Raises
+    ``FloatingPointError`` when an entry is not finite.
     """
     n = charge_labels(params).astype(float)
     gate = np.array([bias.gate_charge for bias in biases], dtype=float)
     ejs = [josephson_energy(params, bias.flux) for bias in biases]
     diagonals = 4.0 * params.charging_energy * (n - gate[:, None]) ** 2
     half = np.array([-0.5 * abs(ej) for ej in ejs])
+    if not (np.isfinite(diagonals).all() and np.isfinite(half).all()):
+        raise FloatingPointError("the Hamiltonian has a non-finite entry")
     offs = np.repeat(half[:, None], params.n_charges - 1, axis=1)
     rates = np.array([-1j * cmath.phase(ej) for ej in ejs])
     gauges = np.exp(rates[:, None] * n)

@@ -162,7 +162,11 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTrace:
-    """Sample the instantaneous spectrum at n_samples points over the protocol."""
+    """Sample the instantaneous spectrum at n_samples points over the protocol.
+
+    Raises ``FloatingPointError`` when a level, measured from the ground
+    energy, is not finite.
+    """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     times = np.linspace(0.0, protocol.duration, n_samples)
@@ -170,9 +174,13 @@ def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTr
         params, [sample_drive(protocol, float(t)) for t in times]
     )
     energies = np.empty((n_samples, params.n_charges))
-    for i, (diagonal, off) in enumerate(zip(diagonals, offs)):
-        levels, info = dsterf(diagonal, off)
-        _check_lapack("dsterf", info)
-        energies[i] = levels - levels[0]
+    # finite entries can still span more than the float range; refused below
+    with np.errstate(over="ignore"):
+        for i, (diagonal, off) in enumerate(zip(diagonals, offs)):
+            levels, info = dsterf(diagonal, off)
+            _check_lapack("dsterf", info)
+            energies[i] = levels - levels[0]
+    if not np.isfinite(energies).all():
+        raise FloatingPointError("the spectrum has a non-finite level")
     return SpectrumTrace(times=times, energies=energies)
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 import cpbsim.cli
+import cpbsim.config
 import cpbsim.experiment
 from cpbsim.cli import main
 from cpbsim.config import RunConfig, config_from_mapping, read_mapping
+from cpbsim.drive import TabulatedProtocol
 
 
 def _write_config(tmp_path, mapping, name="config.json"):
@@ -130,12 +133,71 @@ def test_malformed_propagator_messages(mapping, message):
 MALFORMED_CONFIGS = {
     "device-type": ({"device": [1]}, "config section 'device' must be a JSON object"),
     "device-value": ({"device": {"n_charges": 4}}, "n_charges must be odd and >= 5"),
+    # numpy's arange returns an empty basis at this size, allocating nothing
+    "device-value-int64": (
+        {"device": {"n_charges": 2**63 - 1}},
+        "n_charges 9223372036854775807 is too large for a basis",
+    ),
     "protocol-type": (
         {"protocol": "cosine"}, "config section 'protocol' must be a JSON object"
     ),
     "protocol-value": (
         {"protocol": {"direction": "sideways"}},
         "protocol.direction must be 'forward' or 'backward'",
+    ),
+    "protocol-family-type": (
+        {"protocol": {"family": 1}}, "config key 'protocol.family' must be a string"
+    ),
+    "protocol-family-value": (
+        {"protocol": {"family": "square"}},
+        "protocol.family must be 'cosine' or 'table'",
+    ),
+    "protocol-direction-type": (
+        {"protocol": {"direction": 1}},
+        "config key 'protocol.direction' must be a string",
+    ),
+    "protocol-mirror_time-type": (
+        {"protocol": {"mirror_time": 1}},
+        "config key 'protocol.mirror_time' must be true or false",
+    ),
+    "protocol-duration-type": (
+        {"protocol": {"duration": "1"}},
+        "config key 'protocol.duration' must be a number",
+    ),
+    "protocol-duration-value": (
+        {"protocol": {"duration": 0}}, "duration must be positive"
+    ),
+    "protocol-flux-type": (
+        {"protocol": {"flux": [1]}},
+        "config section 'protocol.flux' must be a JSON object",
+    ),
+    "protocol-flux-key": (
+        {"protocol": {"flux": {"bogus": 1}}},
+        "unknown config key(s) in protocol.flux: ['bogus']",
+    ),
+    "protocol-unknown-key": (
+        {"protocol": {"bogus": 1}}, "unknown config key(s) in protocol: ['bogus']"
+    ),
+    # each table case is refused before the (absent) table file is read
+    "protocol-table-no-path": (
+        {"protocol": {"family": "table"}},
+        "protocol.family 'table' requires protocol.table_path",
+    ),
+    "protocol-table-path-type": (
+        {"protocol": {"family": "table", "table_path": 1}},
+        "config key 'protocol.table_path' must be a string",
+    ),
+    "protocol-table-duration": (
+        {"protocol": {"family": "table", "table_path": "wave.csv", "duration": 1.0}},
+        "a waveform table defines its own duration",
+    ),
+    "protocol-table-flux": (
+        {"protocol": {"family": "table", "table_path": "wave.csv", "flux": {}}},
+        "waveform tables do not take flux/gate sections",
+    ),
+    "protocol-table-times": (
+        {"protocol": {"family": "table", "table_path": "wave.csv", "times": [0, 1]}},
+        "unknown config key(s) in protocol: ['times']",
     ),
     "subspace-type": (
         {"subspace": 3}, "subspace must be 'all' or a non-empty list of labels"
@@ -367,6 +429,44 @@ def test_numeric_errors_exit_2(tmp_path, capsys, monkeypatch, error, line):
     monkeypatch.setattr(cpbsim.cli, "evolve", failing_evolve)
     out = tmp_path / "o"
     assert main(["run", "--dt", "1e-3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cpbsim: {line}\n"
+    assert not out.exists()
+
+
+def test_config_stage_numeric_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # as when a basis of n_charges 4,000,000,001 does not fit in memory
+    def failing_labels(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.8 GiB")
+
+    monkeypatch.setattr(cpbsim.config, "charge_labels", failing_labels)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "cpbsim: Unable to allocate 29.8 GiB\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "device, argv, line",
+    [
+        ({"charging_energy": 1e308}, ["run", "--exact"],
+         "the Hamiltonian has a non-finite entry"),
+        ({"charging_energy": 1e308}, ["gibbs", "--exact", "--temperatures", "10"],
+         "the Hamiltonian has a non-finite entry"),
+        ({"charging_energy": 1e308}, ["spectrum"],
+         "the Hamiltonian has a non-finite entry"),
+        ({"charging_energy": 1e308}, ["microrev"],
+         "the Hamiltonian has a non-finite entry"),
+        # finite entries whose levels span more than the float range
+        ({"josephson_energy_total": 1e308}, ["spectrum"],
+         "the spectrum has a non-finite level"),
+    ],
+    ids=["run", "gibbs", "spectrum", "microrev", "spectrum-josephson"],
+)
+def test_overflowing_hamiltonian_exits_2(tmp_path, capsys, device, argv, line):
+    cfg = _write_config(tmp_path, {"device": device})
+    out = tmp_path / "o"
+    assert main(argv + ["--dt", "1e-3", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cpbsim: {line}\n"
     assert not out.exists()
 
@@ -766,16 +866,82 @@ def test_waveform_table_rejects_duration(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_waveform_table_rejects_nan_cell(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "rows, line",
+    [
+        ("0,0.5,-1.95\n0.25,nan,-1.95\n0.5,0.5,-1.95\n",
+         "waveform table values must be finite"),
+        ("0,0.5\n0.5,0.5\n", "{table}: line 2 has 2 cells, expected 3"),
+        ("0,0.5,-1.95,1\n0.5,0.5,-1.95,1\n", "{table}: line 2 has 4 cells, expected 3"),
+        ("0,0.5,-1.95\n0.25,0.5\n0.5,0.5,-1.95\n",
+         "{table}: line 3 has 2 cells, expected 3"),
+    ],
+    ids=["nan-cell", "2-cells", "4-cells", "ragged"],
+)
+def test_waveform_table_rejects_bad_cells(tmp_path, capsys, rows, line):
     table = tmp_path / "wave.csv"
-    table.write_text("t_ns,flux_phi0,n_g\n0,0.5,-1.95\n0.25,nan,-1.95\n0.5,0.5,-1.95\n")
+    table.write_text("t_ns,flux_phi0,n_g\n" + rows)
     cfg = _write_config(
         tmp_path, {"protocol": {"family": "table", "table_path": str(table)}}
     )
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--dt", "1e-3", "--out", str(out)]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"cpbsim: {line.format(table=table)}\n"
     assert not out.exists()
+
+
+def _random_protocol_section(rng, table):
+    """A protocol section of random family, keys, key order and values."""
+    section = {}
+    if rng.random() < 0.5:
+        section["direction"] = str(rng.choice(["forward", "backward"]))
+    for key in ("mirror_time", "invert_flux"):
+        if rng.random() < 0.5:
+            section[key] = bool(rng.random() < 0.5)
+    if rng.random() < 0.5:
+        n = int(rng.integers(2, 9))
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.3, n - 1))])
+        cells = np.column_stack((times, rng.uniform(-1, 1, n), rng.uniform(-3, 3, n)))
+        lines = [",".join(map(repr, row)) for row in cells.tolist()]
+        table.write_text("t_ns,flux_phi0,n_g\n" + "\n".join(lines) + "\n")
+        section.update(family="table", table_path=str(table))
+    else:
+        if rng.random() < 0.5:
+            section["family"] = "cosine"
+        if rng.random() < 0.5:
+            section["duration"] = float(rng.uniform(0.1, 2.0))
+        for name in ("flux", "gate"):
+            if rng.random() < 0.5:
+                keys = ("offset", "amplitude", "frequency", "phase")
+                section[name] = {
+                    k: float(rng.uniform(-2.0, 2.0)) for k in keys if rng.random() < 0.5
+                }
+    keys = list(section)
+    rng.shuffle(keys)
+    return {k: section[k] for k in keys}
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_random_protocol_sections_round_trip(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    families = set()
+    for case in range(20):
+        section = _random_protocol_section(rng, tmp_path / f"wave{case}.csv")
+        cfg = config_from_mapping({"protocol": section})
+        echo = json.loads(json.dumps(cfg.resolved()))
+        again = config_from_mapping(echo)
+        for f in dataclasses.fields(RunConfig):
+            read, first = getattr(again, f.name), getattr(cfg, f.name)
+            assert type(read) is type(first)
+            if isinstance(read, TabulatedProtocol):
+                # a table's arrays compare elementwise
+                for g in dataclasses.fields(read):
+                    assert np.array_equal(getattr(read, g.name), getattr(first, g.name))
+            else:
+                assert read == first
+        assert json.dumps(again.resolved()) == json.dumps(echo)
+        families.add(echo["protocol"]["family"])
+    assert families == {"cosine", "table"}
 
 
 def test_seed_changes_sampled_output(tmp_path):
