@@ -172,7 +172,10 @@ def load_waveform_table(path) -> TabulatedProtocol:
                     f"{path}: line {reader.line_num} has {len(row)} cells, "
                     f"expected {len(expected)}"
                 )
-            rows.append([float(cell) for cell in row])
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: waveform table needs at least two samples")
     data = np.asarray(rows, dtype=float)

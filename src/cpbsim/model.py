@@ -49,7 +49,7 @@ class DeviceParams:
     def __post_init__(self) -> None:
         if not self.charging_energy > 0.0:
             raise ValueError("charging_energy must be positive")
-        if self.josephson_energy_total < 0.0:
+        if not self.josephson_energy_total >= 0.0:
             raise ValueError("josephson_energy_total must be non-negative")
         if not 0.0 <= self.asymmetry <= 1.0:
             raise ValueError("asymmetry must lie in [0, 1]")

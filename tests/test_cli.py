@@ -563,7 +563,7 @@ SUBSPACE_PAYLOAD_SHA256 = {
     }),
     "noise": (["noise"], None, {
         "detector.json":
-            "1a5286975b261567cdfc2eb91a15a7dd30acd662056ad9feab6307593bb8a086",
+            "7da738f010bf2f3abdb5d45ece31b2d52c5548fabb34cdf5948723f94852794c",
     }),
     "run": (["run", "--exact"], None, {
         "transition_matrix.csv":
@@ -875,8 +875,10 @@ def test_waveform_table_rejects_duration(tmp_path):
         ("0,0.5,-1.95,1\n0.5,0.5,-1.95,1\n", "{table}: line 2 has 4 cells, expected 3"),
         ("0,0.5,-1.95\n0.25,0.5\n0.5,0.5,-1.95\n",
          "{table}: line 3 has 2 cells, expected 3"),
+        ("0,0.5,-1.95\n0.25,abc,-1.95\n0.5,0.5,-1.95\n",
+         "{table}: line 3: could not convert string to float: 'abc'"),
     ],
-    ids=["nan-cell", "2-cells", "4-cells", "ragged"],
+    ids=["nan-cell", "2-cells", "4-cells", "ragged", "non-numeric"],
 )
 def test_waveform_table_rejects_bad_cells(tmp_path, capsys, rows, line):
     table = tmp_path / "wave.csv"

@@ -76,6 +76,13 @@ def test_device_params_validation(kwargs):
         DeviceParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [-0.1, float("nan")], ids=["negative", "nan"])
+def test_josephson_energy_total_must_be_non_negative(value):
+    # nan fails every comparison, so the check must be "not >= 0", not "< 0"
+    with pytest.raises(ValueError, match="^josephson_energy_total must be non-negative$"):
+        DeviceParams(josephson_energy_total=value)
+
+
 def test_josephson_energy_anchor_points(params):
     ej0 = josephson_energy(params, 0.0)
     assert ej0 == pytest.approx(params.josephson_energy_total)

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from cpbsim import (
     KB_OVER_HBAR,
@@ -110,6 +115,73 @@ def test_detector_closed_form_against_quadrature():
     closed = detector_distinguishability(det).distance
     quad = kolmogorov_distance_quadrature(det)
     assert abs(closed - quad) < 1e-8
+
+
+def _adaptive_distance(det):
+    """Reference route: the trace distance by scipy's adaptive ``quad`` on
+    the same two half-intervals, split at the kink at delta/2."""
+    sigma = det.charge_sensitivity / math.sqrt(det.measurement_time * 1e-9)
+    delta = 2.0 * det.coupling_capacitance / det.island_capacitance
+
+    def gauss(x, mu):
+        return math.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+
+    integrand = lambda x: abs(gauss(x, 0.0) - gauss(x, delta))
+    left, _ = integrate.quad(integrand, -12.0 * sigma, 0.5 * delta, limit=200)
+    right, _ = integrate.quad(integrand, 0.5 * delta, delta + 12.0 * sigma, limit=200)
+    return 0.5 * (left + right)
+
+
+def test_detector_rule_matches_closed_form_and_adaptive_quad():
+    # Seeded random detectors with delta/sigma from ~0.2 to ~2200, one in
+    # ten uncoupled (delta = 0). Measured worst gaps on these cases: 2.2e-16
+    # against the closed form and 4.3e-14 against quad. Past delta/sigma ~5e3
+    # quad's 200 subintervals can miss both peaks (it read 0 at 6.8e3), so
+    # the draws stay below that; the next test covers the rule out there.
+    rng = np.random.default_rng(1510)
+    for case in range(200):
+        det = DetectorParams(
+            charge_sensitivity=10.0 ** rng.uniform(-7.0, -5.0),
+            measurement_time=10.0 ** rng.uniform(0.0, 3.0),
+            island_capacitance=rng.uniform(1.0, 10.0),
+            coupling_capacitance=0.0 if case % 10 == 0 else rng.uniform(0.0, 1.0),
+        )
+        rule = kolmogorov_distance_quadrature(det)
+        assert abs(rule - detector_distinguishability(det).distance) <= 1e-13
+        assert abs(rule - _adaptive_distance(det)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sensitivity", [1e-9, 1e-13, 1e-20, 1e-200])
+def test_detector_rule_holds_far_past_the_noise(sensitivity):
+    # delta/sigma of 8.7e3, 8.7e7, 8.7e14 and 8.7e194, where the closed form
+    # is 1. Adaptive quad read 1.8e-11 and 0 at the first two; nodes placed
+    # in absolute coordinates, not as offsets from their half's centre, read
+    # 1 + 1.3e-10 at the second and 0.9998 at the third. At the last the far
+    # Gaussian's squared offset overflows, which must not warn.
+    det = DetectorParams(charge_sensitivity=sensitivity)
+    rule = kolmogorov_distance_quadrature(det)
+    assert abs(rule - detector_distinguishability(det).distance) <= 1e-13
+
+
+def test_noise_loads_no_scipy_integrate(tmp_path):
+    # a fresh interpreter, since this suite imports scipy.integrate itself
+    src = str(Path(noise.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = (
+        "import sys\n"
+        "from cpbsim.cli import main\n"
+        "assert main(['noise', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "noise")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert (tmp_path / "noise" / "detector.json").exists()
+    assert done.stdout == "[]\n"
 
 
 def test_uncoupled_detector_guesses():
