@@ -3,9 +3,10 @@
 ``main`` reads an optional JSON config, applies flag overrides and hands the
 subcommand the run's ``_OutputSet``, the only code that formats payloads.
 It finishes the run with the set's manifest (config echo, tool version,
-timestamp, seed, sha256 per file), also when a command exits 3.
-Payload bytes depend only on config and seed; the timestamp is confined
-to the manifest so repeat runs stay byte-identical.
+timestamp, LAPACK binding, seed, sha256 per file), also when a command
+exits 3. Payload bytes depend only on config and seed; the timestamp and
+the binding (which library, and which OpenBLAS kernels it picked for the
+CPU) are confined to the manifest so repeat runs stay byte-identical.
 
 Exit codes: 0 success, 2 validation, I/O or numerical failure, 3 a physics
 threshold (currently the microreversibility tolerance) was exceeded.
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._lapack import BINDING as LAPACK_BINDING
 from .config import RunConfig, _section, config_from_mapping, read_mapping
 from .drive import FORWARD
 from .drive import reverse_protocol
@@ -205,6 +207,7 @@ class _OutputSet:
             "tool": "cpbsim",
             "version": __version__,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+            "lapack": LAPACK_BINDING,
             "seed": cfg.seed,
             "config": cfg.resolved(),
             "outputs": {k: checksums[k] for k in sorted(checksums)},

@@ -185,15 +185,17 @@ def _cdf(p: np.ndarray) -> np.ndarray:
 def _count_below(
     x: np.ndarray, thresholds: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
-    """``#{x < t}`` for each threshold t, one comparison pass per threshold.
+    """``#{x < t}`` for each of the ascending ``thresholds`` t.
 
-    Every pass writes its comparison into ``mask[:x.size]``, so counting
-    allocates no temporary the size of ``x``.
+    Thresholds at or below ``min(x)`` count 0 without a pass; every other
+    one takes a comparison pass, which writes into ``mask[:x.size]``, so
+    counting allocates no temporary the size of ``x``.
     """
     out = mask[: x.size]
-    return np.array(
-        [np.count_nonzero(np.less(x, t, out=out)) for t in thresholds], dtype=np.int64
-    )
+    counts = np.zeros(thresholds.size, dtype=np.int64)
+    start = thresholds.searchsorted(x.min(), side="right")
+    counts[start:] = [np.count_nonzero(np.less(x, t, out=out)) for t in thresholds[start:]]
+    return counts
 
 
 def _column_table(column: np.ndarray, rows: np.ndarray):
@@ -250,8 +252,10 @@ def _pair_counts(partitions, initial_probs, columns, rows):
     writes into the mask. Entries of the first-label table that equal 1.0
     lie above every uniform, so they get no pass: the last entry, which
     :func:`_cdf` normalises to exactly 1.0, and any entries before it that
-    round to 1.0. A column's table is built on its first hit, so, as with
-    ``choice``, a column that no event reaches is never checked.
+    round to 1.0. Nor does any threshold at or below the smallest uniform
+    of the slice it counts (see :func:`_count_below`). A column's table is
+    built on its first hit, so, as with ``choice``, a column that no event
+    reaches is never checked.
     """
     cdf = _cdf(initial_probs)
     first = cdf[cdf < 1.0]  # a prefix: the table is non-decreasing

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
+from ._lapack import dstebz, dstein
 from .drive import sample_drive
 from .model import (
     KB_OVER_HBAR,
@@ -36,6 +36,9 @@ from .model import (
 from .propagate import _check_lapack
 
 DEFAULT_BATH_TEMPERATURE = 0.030  # kelvin; typical dilution-fridge operation
+
+# Legendre nodes and weights on [-1, 1] of the detector cross-check's panels
+_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 @dataclass(frozen=True)
@@ -221,11 +224,9 @@ def detector_distinguishability(det: DetectorParams) -> DetectorReport:
     distance between the two Gaussian outcome distributions has the closed
     form erf(delta/(2*sqrt(2)*sigma)).
     """
-    from scipy.special import erf  # deferred: a slow import most commands skip
-
     sigma = det.charge_sensitivity / math.sqrt(det.measurement_time * 1e-9)
     delta = 2.0 * det.coupling_capacitance / det.island_capacitance
-    distance = float(erf(delta / (2.0 * math.sqrt(2.0) * sigma)))
+    distance = math.erf(delta / (2.0 * math.sqrt(2.0) * sigma))
     return DetectorReport(
         sigma_q=sigma,
         delta_q=delta,
@@ -252,7 +253,6 @@ def kolmogorov_distance_quadrature(det: DetectorParams) -> float:
     """
     sigma = det.charge_sensitivity / math.sqrt(det.measurement_time * 1e-9)
     delta = 2.0 * det.coupling_capacitance / det.island_capacitance
-    nodes, weights = np.polynomial.legendre.leggauss(16)
 
     def gauss(x):
         # the far Gaussian's exponent may overflow to -inf, which exp maps to 0
@@ -268,6 +268,8 @@ def kolmogorov_distance_quadrature(det: DetectorParams) -> float:
     for lo, hi, other in halves:
         edges = np.linspace(lo, hi, math.ceil((hi - lo) / sigma) + 1)
         half = 0.5 * np.diff(edges)[:, None]
-        x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
-        total += float(np.sum(half * weights * np.abs(gauss(x) - gauss(x - other))))
+        x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * _LEGENDRE_NODES
+        total += float(
+            np.sum(half * _LEGENDRE_WEIGHTS * np.abs(gauss(x) - gauss(x - other)))
+        )
     return 0.5 * total

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.linalg.lapack import dstevd, dsterf
 
+from ._lapack import dstevd, dsterf
 from .drive import sample_drive
 from .model import DeviceParams, gauge_tridiagonal
 

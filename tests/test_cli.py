@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cpbsim._lapack
 import cpbsim.cli
 import cpbsim.config
 import cpbsim.experiment
@@ -495,6 +496,11 @@ def test_spectrum_outputs_and_manifest(tmp_path):
 
     manifest = _read_json(out / "manifest.json")
     assert manifest["tool"] == "cpbsim"
+    # the volatile LAPACK binding sits next to the timestamp
+    keys = list(manifest)
+    assert keys[keys.index("timestamp_utc") + 1] == "lapack"
+    assert manifest["lapack"] == cpbsim._lapack.BINDING
+    assert set(manifest["lapack"]) == {"library", "corename"}
     digest = hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["spectrum.csv"] == digest
     # the resolved-config echo must round-trip through the parser unchanged
@@ -655,7 +661,10 @@ def test_subspace_payload_bytes_are_pinned(tmp_path, argv, subspace, expected):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
         for name in expected
     }
-    assert digests == expected
+    # the digests hold for the BLAS kernels they were recorded with
+    # (SkylakeX), so a failure names the kernels it ran on
+    lapack = _read_json(out / "manifest.json")["lapack"]
+    assert digests == expected, f"LAPACK and BLAS from {lapack}"
 
 
 def test_run_propagates_once(tmp_path, monkeypatch):

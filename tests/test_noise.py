@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -164,24 +165,43 @@ def test_detector_rule_holds_far_past_the_noise(sensitivity):
     assert abs(rule - detector_distinguishability(det).distance) <= 1e-13
 
 
-def test_noise_loads_no_scipy_integrate(tmp_path):
-    # a fresh interpreter, since this suite imports scipy.integrate itself
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--exact", "--dt", "1e-3"],
+        ["spectrum", "--dt", "1e-3"],
+        ["noise", "--dt", "1e-3"],
+        ["gibbs", "--sampled", "--dt", "1e-3"],
+    ],
+    ids=["run-exact", "spectrum", "noise", "gibbs-sampled"],
+)
+def test_command_loads_no_scipy(tmp_path, argv):
+    # a fresh interpreter, since this suite imports scipy itself. With the
+    # LAPACK routines from numpy's OpenBLAS no scipy module may load; the
+    # scipy binding, taken only where numpy has no such library, may load
+    # scipy.linalg but none of the packages the commands once used
     src = str(Path(noise.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "from cpbsim.cli import main\n"
-        "assert main(['noise', '--out', sys.argv[1]]) == 0\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
+        "from cpbsim._lapack import BINDING\n"
+        "assert main(sys.argv[2:] + ['--out', sys.argv[1]]) == 0\n"
+        "print(json.dumps([BINDING, sorted(m for m in sys.modules\n"
+        "                                  if m.split('.')[0] == 'scipy')]))\n"
     )
+    out = tmp_path / "out"
     done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "noise")],
+        [sys.executable, "-c", script, str(out), *argv],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert (tmp_path / "noise" / "detector.json").exists()
-    assert done.stdout == "[]\n"
+    assert (out / "manifest.json").exists()
+    binding, modules = json.loads(done.stdout)
+    if binding["library"] == "scipy.linalg.lapack":
+        modules = [m for m in modules
+                   if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.special"))]
+    assert modules == [], binding
 
 
 def test_uncoupled_detector_guesses():

@@ -24,6 +24,7 @@ from cpbsim.experiment import (
     EVENT_PARTITION,
     _cdf,
     _column_table,
+    _count_below,
     _pair_counts,
     partition_seeds,
 )
@@ -161,6 +162,20 @@ def test_pair_counts_on_table_boundaries():
         counts = _pair_counts([(fixed, u.size)], probs, columns, rows)
         assert np.array_equal(counts, expected[:, rows])
         assert fixed._values.size == 0
+
+
+def test_count_below_skips_thresholds_at_or_below_the_minimum():
+    # #{x < t} is 0 for t <= min(x), so those thresholds take no comparison
+    # pass: a mask no pass has written to keeps its contents
+    x = np.random.default_rng(3).random(1000)
+    lo = x.min()
+    cases = ([0.0, lo / 2, lo, np.nextafter(lo, 1.0), 0.5, 0.8], [0.0, lo], [0.9], [])
+    for thresholds in cases:
+        thresholds = np.asarray(thresholds, dtype=float)
+        mask = np.ones(x.size + 5, dtype=bool)
+        counts = _count_below(x, thresholds, mask)
+        assert counts.tolist() == [np.count_nonzero(x < t) for t in thresholds]
+        assert mask.all() == (thresholds <= lo).all()
 
 
 def _reference_partition_counts(partitions, initial_probs, columns, rows):
