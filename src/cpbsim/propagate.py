@@ -31,11 +31,18 @@ from .model import DeviceParams, gauge_tridiagonal
 #: Step size (ns) used by the benchmark runs.
 DEFAULT_TIME_STEP = 1e-4
 
+#: Largest accepted bound eps * max|E| * (t_stop - t_start), in rad, on the
+#: rounding of the phase a propagation accumulates. The default device reads
+#: about 8.7e-12, 10^5 below it; near 1 rad no step phase has a correct digit.
+PHASE_ROUNDING_LIMIT = 1e-6
+
 # Steps whose tridiagonal forms are assembled in one call. A block's step
 # midpoints are generated as it is assembled, and the assembly holds about
 # 1.6 kB per step at N = 51 (200 kB per block), so evolve's scratch memory
 # does not grow with the step count. The block size changes no bit of U.
 _ASSEMBLY_BLOCK = 128
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,10 @@ def evolve(
 
     Later-time step factors multiply on the left. Defaults to the full
     protocol window. The step size must resolve the protocol: at least 100
-    steps per duration are required. Raises ``numpy.linalg.LinAlgError``
-    when the LAPACK eigensolver fails.
+    steps per duration are required, and the energy scale must leave the
+    step phases resolvable: ``ValueError`` when eps * max|E| * (t_stop -
+    t_start) exceeds :data:`PHASE_ROUNDING_LIMIT`. Raises
+    ``numpy.linalg.LinAlgError`` when the LAPACK eigensolver fails.
     """
     duration = protocol.duration
     if t_stop is None:
@@ -111,6 +120,15 @@ def evolve(
         rows = gauge_tridiagonal(
             params, [sample_drive(protocol, t_mid) for t_mid, _ in block]
         )
+        # every level of the block has |E| <= max|diagonal| + 2 max|off|;
+        # Python floats, so that an overflowing sum is inf without a warning
+        scale = float(np.abs(rows[0]).max()) + 2.0 * float(np.abs(rows[1]).max())
+        rounding = _EPS * scale * (t_stop - t_start)
+        if rounding > PHASE_ROUNDING_LIMIT:
+            raise ValueError(
+                f"phase rounding bound {rounding:.3g} rad exceeds "
+                f"{PHASE_ROUNDING_LIMIT:g}: the energy scale is too large to propagate"
+            )
         for (_, step), diagonal, off, new_gauge in zip(block, *rows):
             energies, states = _eigh_tridiagonal(diagonal, off)
             w *= (new_gauge.conj() * gauge)[:, None]

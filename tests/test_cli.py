@@ -16,6 +16,7 @@ import cpbsim.experiment
 from cpbsim.cli import main
 from cpbsim.config import RunConfig, config_from_mapping, read_mapping
 from cpbsim.drive import TabulatedProtocol
+from cpbsim.experiment import _DRAW_BLOCK, EVENT_PARTITION, partition_seeds
 
 
 def _write_config(tmp_path, mapping, name="config.json"):
@@ -446,6 +447,12 @@ def test_config_stage_numeric_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+PHASE_LINE = (
+    "phase rounding bound 1.25e+292 rad exceeds 1e-06: "
+    "the energy scale is too large to propagate"
+)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "device, argv, line",
@@ -461,8 +468,13 @@ def test_config_stage_numeric_errors_exit_2(tmp_path, capsys, monkeypatch):
         # finite entries whose levels span more than the float range
         ({"josephson_energy_total": 1e308}, ["spectrum"],
          "the spectrum has a non-finite level"),
+        # ... and whose step phases have no correct digit
+        ({"josephson_energy_total": 1e308}, ["run", "--exact"], PHASE_LINE),
+        ({"josephson_energy_total": 1e308}, ["run", "--sampled"], PHASE_LINE),
+        ({"josephson_energy_total": 1e308}, ["microrev"], PHASE_LINE),
     ],
-    ids=["run", "gibbs", "spectrum", "microrev", "spectrum-josephson"],
+    ids=["run", "gibbs", "spectrum", "microrev", "spectrum-josephson",
+         "run-josephson", "run-sampled-josephson", "microrev-josephson"],
 )
 def test_overflowing_hamiltonian_exits_2(tmp_path, capsys, device, argv, line):
     cfg = _write_config(tmp_path, {"device": device})
@@ -838,6 +850,66 @@ def test_waveform_table_echo_round_trips(tmp_path):
             assert (first / name).read_bytes() == (second / name).read_bytes()
     again = _read_json(second / "manifest.json")["config"]
     assert {**again, "output_dir": echo["output_dir"]} == echo
+
+
+# `--events` values of the sampled round trips: the first crosses one
+# partition boundary, the second is one past a draw block inside a partition
+CROSSES_PARTITION = EVENT_PARTITION + EVENT_PARTITION // 5
+PAST_DRAW_BLOCK = _DRAW_BLOCK + 1
+
+
+def test_sampled_round_trips_cross_their_boundaries():
+    def lengths(events):
+        return [length for _, length, _ in partition_seeds(0, events)]
+
+    assert lengths(CROSSES_PARTITION) == [
+        EVENT_PARTITION, CROSSES_PARTITION - EVENT_PARTITION
+    ]
+    assert lengths(PAST_DRAW_BLOCK) == [_DRAW_BLOCK + 1]
+
+
+# (argv, whether the drive is the default one written as a waveform table)
+ROUND_TRIPS = {
+    "noise": (["noise"], False),
+    "spectrum": (["spectrum"], False),
+    "gibbs-exact": (["gibbs", "--exact", "--dt", "1e-3", "--temperatures", "10"], False),
+    "run-exact": (["run", "--exact", "--dt", "1e-3"], False),
+    "microrev": (["microrev", "--dt", "1e-3"], False),
+    "run-sampled-partitions": (
+        ["run", "--sampled", "--dt", "1e-3", "--events", str(CROSSES_PARTITION)], False
+    ),
+    "gibbs-sampled-partitions": (
+        ["gibbs", "--sampled", "--dt", "1e-3", "--events", str(CROSSES_PARTITION),
+         "--temperatures", "10,30"], False,
+    ),
+    "run-sampled-draw-block": (
+        ["run", "--sampled", "--dt", "1e-3", "--events", str(PAST_DRAW_BLOCK)], False
+    ),
+    "run-table": (["run", "--exact", "--dt", "1e-3", "--no-time-mirror"], True),
+}
+
+
+@pytest.mark.parametrize("argv, table", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+def test_config_echo_round_trips(tmp_path, argv, table):
+    # a run re-made from its manifest's config echo alone writes the same bytes
+    if table:
+        protocol = {"family": "table", "table_path": str(_write_table(tmp_path))}
+        argv = argv + ["--config", _write_config(tmp_path, {"protocol": protocol})]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + ["--out", str(first)]) == 0
+    echo = _read_json(first / "manifest.json")["config"]
+    assert config_from_mapping(echo).resolved() == echo
+
+    cfg = _write_config(tmp_path, echo, name="echo.json")
+    assert main([argv[0], "--config", cfg, "--out", str(second)]) == 0
+    manifests = [_read_json(out / "manifest.json") for out in (first, second)]
+    for out, manifest in zip((first, second), manifests):
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert written and list(manifest["outputs"]) == written
+    assert manifests[1]["outputs"] == manifests[0]["outputs"]
+    for name in manifests[0]["outputs"]:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert {**manifests[1]["config"], "output_dir": echo["output_dir"]} == echo
 
 
 def test_relative_table_path_echo_runs_from_another_directory(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from cpbsim.config import RunConfig, config_from_mapping
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_quickstart_names_resolve():
+def test_quickstart_runs_as_written(capsys):
     text = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
     assert len(blocks) == 1
@@ -19,6 +19,11 @@ def test_quickstart_names_resolve():
     names = set(re.findall(r"\bcs\.(\w+)", blocks[0]))
     assert len(names) >= 10
     assert sorted(n for n in names if not hasattr(cpbsim, n)) == []
+    exec(compile(blocks[0], str(README), "exec"), {})
+    # the two values its comments name: ~5e-11, and 1 minus the leakage skew
+    deviation, mean = map(float, capsys.readouterr().out.split())
+    assert deviation < 1e-10
+    assert abs(1.0 - mean) < 1e-3
 
 
 def test_config_key_table_lists_runconfig_fields():
