@@ -1,23 +1,30 @@
-"""The four tridiagonal LAPACK routines cpbsim calls, bound once at import.
+"""The three tridiagonal eigensolves cpbsim makes, bound once at import.
+
+Each takes a real symmetric tridiagonal T as its diagonal ``d`` and
+off-diagonal ``e``, leaves both untouched, and returns eigenvalues in
+ascending order with eigenvectors as the columns of a Fortran-ordered ``z``
+(each column's sign LAPACK's choice): ``eigh(d, e) -> (vals, z)`` all
+eigenpairs (LAPACK ``dstevd``), ``eigvalsh(d, e) -> vals`` all eigenvalues
+(``dsterf``), and ``level_pair(d, e, k) -> (vals, z)`` eigenpairs k and k+1,
+0-based (``dstebz`` bisection, then ``dstein`` inverse iteration). A routine
+that fails (``info`` != 0), or a ``dstebz`` count other than 2, raises
+``numpy.linalg.LinAlgError``, so no caller handles LAPACK's conventions.
 
 numpy's wheels ship OpenBLAS together with its LAPACK (a
 ``libscipy_openblas64_`` library in ``numpy.libs``, or in ``numpy/.dylibs``
 on macOS), exporting each routine with 64-bit integers as
-``scipy_<name>_64_``. This module binds ``dstevd``, ``dsterf``, ``dstebz``
-and ``dstein`` from that library through ctypes, so importing cpbsim does
-not import scipy, and every payload bit depends on the one OpenBLAS that
-numpy already uses for its products. Where numpy carries no such library,
-or the library lacks one of the four routines (conda/MKL or Accelerate
-builds), the same routines are taken from ``scipy.linalg.lapack``: the same
-LAPACK code through another binding, picked from what the process finds.
+``scipy_<name>_64_``. The solves call the four routines of that library
+through ctypes, so importing cpbsim does not import scipy, and every
+payload bit depends on the one OpenBLAS that numpy already uses for its
+products. Where numpy carries no such library, or the library lacks one of
+the four routines (conda/MKL or Accelerate builds), the solves call the same
+routines through ``scipy.linalg.lapack``: the same LAPACK code through
+another binding, picked from what the process finds.
 
-Each routine takes and returns what scipy's f2py wrapper of it does,
-``info`` included, and leaves its inputs untouched; only the integer arrays
-``dstebz`` returns are LAPACK's int64 rather than f2py's int32. A routine's
-ctypes arguments and arrays are built once per matrix order and thread: a
-call copies its inputs into those arrays, calls LAPACK and returns copies of
-the outputs. ctypes releases the GIL for the call, so every thread keeps
-its own arrays.
+A solve's ctypes arguments and arrays are built once per matrix order and
+thread: a call copies ``d`` and ``e`` into those arrays, calls LAPACK and
+returns copies of the outputs. ctypes releases the GIL for each call, so
+every thread keeps its own arrays.
 """
 
 from __future__ import annotations
@@ -46,34 +53,23 @@ def _int(value: int):
     return ctypes.byref(_INT(value))
 
 
-class _Routine:
-    """One routine of numpy's OpenBLAS, called as its f2py wrapper is.
+def _check(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
-    ``_build(n)`` returns the arrays and ctypes arguments of one matrix
-    order, D's and E's arrays first; they are built on the first call of
-    each order in each thread. LAPACK only ever sees these arrays, whose
-    sizes are fixed by n.
-    """
 
-    def __init__(self, name: str, function) -> None:
-        function.restype = None
-        self.__name__ = name
-        self._function = function
-        self._local = threading.local()
+def _check_bisection(info: int, count: int) -> None:
+    _check("dstebz", info)
+    if count != 2:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz found {count} eigenvalues, not 2")
 
-    def _load(self, d, e):
-        """This thread's arrays for the order of ``d``, holding ``d`` and ``e``."""
-        n = len(d)
-        if len(e) != n - 1:
-            raise ValueError(f"{self.__name__}: e has {len(e)} entries, not {n - 1}")
-        spaces = self._local.__dict__
-        try:
-            space = spaces[n]
-        except KeyError:
-            space = spaces[n] = self._build(n)
-        space[0][...] = d
-        space[1][...] = e
-        return space
+
+def _ascending(w: np.ndarray, z: np.ndarray):
+    """``w[:2]`` and ``z``'s two columns, ascending: dstebz's order "B",
+    which dstein needs, lists the upper one first where T splits between
+    the two with the lower one in a later block."""
+    pair = np.argsort(w[:2], kind="stable")
+    return w[pair], z[:, pair]
 
 
 def _tridiagonal(n: int):
@@ -82,117 +78,134 @@ def _tridiagonal(n: int):
     return d, e, e[: n - 1]
 
 
-class _Dstevd(_Routine):
-    """``vals, z, info = dstevd(d, e)``: all eigenpairs, divide and conquer."""
+def _eigh_space(n: int):
+    d, e, e_in = _tridiagonal(n)
+    z = np.empty((n, n), order="F")
+    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    info = _INT()
+    args = (
+        b"V", _int(n), _address(d), _address(e), _address(z), _int(max(n, 1)),
+        _address(work), _int(lwork), _address(iwork), _int(liwork),
+        ctypes.byref(info), _CHAR_LEN,
+    )
+    return d, e_in, z, info, args, (e, work, iwork)
 
-    def _build(self, n):
-        d, e, e_in = _tridiagonal(n)
-        z = np.empty((n, n), order="F")
-        lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
-        work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-        info = _INT()
-        args = (
-            b"V", _int(n), _address(d), _address(e), _address(z), _int(max(n, 1)),
-            _address(work), _int(lwork), _address(iwork), _int(liwork),
-            ctypes.byref(info), _CHAR_LEN,
+
+def _eigvalsh_space(n: int):
+    d, e, e_in = _tridiagonal(n)
+    info = _INT()
+    args = (_int(n), _address(d), _address(e), ctypes.byref(info))
+    return d, e_in, info, args, e
+
+
+def _pair_space(n: int):
+    d, e, e_in = _tridiagonal(n)
+    w, z = np.empty(n), np.empty((n, 2), order="F")
+    iblock, isplit = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    # work space for either routine: dstebz needs 4n and 3n, dstein 5n and n
+    work, iwork = np.empty(5 * n), np.empty(3 * n, dtype=np.int64)
+    ifail = np.empty(2, dtype=np.int64)
+    il, iu, count, info = _INT(), _INT(), _INT(), _INT()
+    zero = ctypes.byref(ctypes.c_double(0.0))
+    # range "I" selects by 1-based index il..iu; abstol 0 is LAPACK's
+    # default, eps times the norm of T
+    bisect = (
+        b"I", b"B", _int(n), zero, zero, ctypes.byref(il), ctypes.byref(iu), zero,
+        _address(d), _address(e), ctypes.byref(count), _int(0), _address(w),
+        _address(iblock), _address(isplit), _address(work), _address(iwork),
+        ctypes.byref(info), _CHAR_LEN, _CHAR_LEN,
+    )
+    # dstein reads the first two of dstebz's w and iblock, and its isplit
+    invert = (
+        _int(n), _address(d), _address(e), _int(2), _address(w), _address(iblock),
+        _address(isplit), _address(z), _int(max(n, 1)), _address(work),
+        _address(iwork), _address(ifail), ctypes.byref(info),
+    )
+    keep = (e, iblock, isplit, work, iwork, ifail)
+    return d, e_in, w, z, il, iu, count, info, bisect, invert, keep
+
+
+class _OpenBLAS:
+    """The three solves through the four routines of numpy's OpenBLAS.
+
+    A ``_*_space(n)`` function builds the arrays and ctypes arguments of
+    one solve and matrix order, D's and E's arrays first, on the first call
+    of that solve and order in each thread. LAPACK only ever sees these
+    arrays, whose sizes are fixed by n.
+    """
+
+    def __init__(self, dstevd, dsterf, dstebz, dstein) -> None:
+        for function in (dstevd, dsterf, dstebz, dstein):
+            function.restype = None
+        self._dstevd, self._dsterf = dstevd, dsterf
+        self._dstebz, self._dstein = dstebz, dstein
+        self._local = threading.local()
+
+    def _load(self, space_of, d, e):
+        """This thread's ``space_of(len(d))``, holding ``d`` and ``e``."""
+        n = len(d)
+        if len(e) != n - 1:
+            raise ValueError(f"e has {len(e)} entries, not {n - 1}")
+        spaces = self._local.__dict__
+        try:
+            space = spaces[space_of, n]
+        except KeyError:
+            space = spaces[space_of, n] = space_of(n)
+        space[0][...] = d
+        space[1][...] = e
+        return space
+
+    def eigh(self, d, e):
+        vals, _e, z, info, args, _keep = self._load(_eigh_space, d, e)
+        self._dstevd(*args)
+        _check("dstevd", info.value)
+        return vals.copy(), z.copy(order="F")
+
+    def eigvalsh(self, d, e):
+        vals, _e, info, args, _keep = self._load(_eigvalsh_space, d, e)
+        self._dsterf(*args)
+        _check("dsterf", info.value)
+        return vals.copy()
+
+    def level_pair(self, d, e, k):
+        _d, _e, w, z, il, iu, count, info, bisect, invert, _keep = self._load(
+            _pair_space, d, e
         )
-        return d, e_in, z, info, args, (e, work, iwork)
-
-    def __call__(self, d, e):
-        vals, _e, z, info, args, _keep = self._load(d, e)
-        self._function(*args)
-        return vals.copy(), z.copy(order="F"), info.value
-
-
-class _Dsterf(_Routine):
-    """``vals, info = dsterf(d, e)``: all eigenvalues, root-free QL/QR."""
-
-    def _build(self, n):
-        d, e, e_in = _tridiagonal(n)
-        info = _INT()
-        args = (_int(n), _address(d), _address(e), ctypes.byref(info))
-        return d, e_in, info, args, e
-
-    def __call__(self, d, e):
-        vals, _e, info, args, _keep = self._load(d, e)
-        self._function(*args)
-        return vals.copy(), info.value
+        il.value, iu.value = k + 1, k + 2
+        self._dstebz(*bisect)
+        _check_bisection(info.value, count.value)
+        self._dstein(*invert)
+        _check("dstein", info.value)
+        return _ascending(w, z)
 
 
-class _Dstebz(_Routine):
-    """``m, w, iblock, isplit, info = dstebz(d, e, range, vl, vu, il, iu,
-    tol, order)``: selected eigenvalues by bisection. ``range`` is 0 for
-    all eigenvalues, 1 for those in (vl, vu] and 2 for indices il..iu."""
+class _Scipy:
+    """The three solves through ``scipy.linalg.lapack``'s f2py wrappers."""
 
-    def _build(self, n):
-        d, e, e_in = _tridiagonal(n)
-        # w, iblock and isplit in one array, zeroed by one fill
-        out = np.empty(3 * n, dtype=np.int64)
-        w, iblock, isplit = out[:n].view(np.float64), out[n : 2 * n], out[2 * n :]
-        work, iwork = np.empty(4 * n), np.empty(3 * n, dtype=np.int64)
-        scalars = (ctypes.c_double(), ctypes.c_double(), _INT(), _INT(), ctypes.c_double())
-        m, info = _INT(), _INT()
-        args = [
-            None, None, _int(n), *map(ctypes.byref, scalars), _address(d), _address(e),
-            ctypes.byref(m), _int(0), _address(w), _address(iblock), _address(isplit),
-            _address(work), _address(iwork), ctypes.byref(info), _CHAR_LEN, _CHAR_LEN,
-        ]
-        # slot 6 holds the scalar arguments the ctypes objects were last set to
-        return [d, e_in, out, w, iblock, isplit, None, m, info, args, scalars, (e, work, iwork)]
+    def __init__(self) -> None:
+        from scipy.linalg import lapack
 
-    def __call__(self, d, e, range, vl, vu, il, iu, tol, order):
-        space = self._load(d, e)
-        _d, _e, out, w, iblock, isplit, last, m, info, args, scalars, _keep = space
-        key = (range, order, vl, vu, il, iu, tol)
-        if key != last:
-            args[0] = b"A" if range <= 0 else b"V" if range == 1 else b"I"
-            args[1] = order.encode() if isinstance(order, str) else order
-            for scalar, value in zip(scalars, key[2:]):
-                scalar.value = value
-            space[6] = key
-        # f2py's outputs start as zeros; LAPACK sets only the first m
-        # entries of w and iblock and the first nsplit of isplit
-        out.fill(0)
-        self._function(*args)
-        return m.value, w.copy(), iblock.copy(), isplit.copy(), info.value
+        self._lapack = lapack
 
+    def eigh(self, d, e):
+        vals, z, info = self._lapack.dstevd(d, e)
+        _check("dstevd", info)
+        return vals, z
 
-class _Dstein(_Routine):
-    """``z, info = dstein(d, e, w, iblock, isplit)``: eigenvectors of the
-    eigenvalues ``w`` by inverse iteration; ``iblock`` and ``isplit`` may
-    be of any integer type."""
+    def eigvalsh(self, d, e):
+        vals, info = self._lapack.dsterf(d, e)
+        _check("dsterf", info)
+        return vals
 
-    def _build(self, n):
-        d, e, e_in = _tridiagonal(n)
-        w, z = np.empty(n), np.empty((n, n), order="F")
-        iblock, isplit = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-        work, iwork = np.empty(5 * n), np.empty(n, dtype=np.int64)
-        ifail = np.empty(n, dtype=np.int64)
-        m, info = _INT(), _INT()
-        args = (
-            _int(n), _address(d), _address(e), ctypes.byref(m), _address(w),
-            _address(iblock), _address(isplit), _address(z), _int(max(n, 1)),
-            _address(work), _address(iwork), _address(ifail), ctypes.byref(info),
+    def level_pair(self, d, e, k):
+        count, w, iblock, isplit, info = self._lapack.dstebz(
+            d, e, 2, 0.0, 0.0, k + 1, k + 2, 0.0, "B"
         )
-        # (w[:k], z[:, :k]) for each eigenvalue count k
-        views = {k: (w[:k], z[:, :k]) for k in range(n + 1)}
-        return d, e_in, iblock, isplit, views, m, info, args, (e, work, iwork, ifail)
-
-    def __call__(self, d, e, w, iblock, isplit):
-        _d, _e, sblock, ssplit, views, m, info, args, _keep = self._load(d, e)
-        k = len(w)
-        if k not in views or len(iblock) != len(d) or len(isplit) != len(d):
-            raise ValueError("dstein: need len(w) <= n and n entries in iblock, isplit")
-        sw, z = views[k]
-        sw[...] = w
-        sblock[...] = iblock
-        ssplit[...] = isplit
-        m.value = k
-        self._function(*args)
-        return z.copy(order="F"), info.value
-
-
-_ROUTINES = {"dstevd": _Dstevd, "dsterf": _Dsterf, "dstebz": _Dstebz, "dstein": _Dstein}
+        _check_bisection(info, count)
+        z, info = self._lapack.dstein(d, e, w[:2], iblock, isplit)
+        _check("dstein", info)
+        return _ascending(w, z)
 
 
 def numpy_library_dirs() -> tuple:
@@ -202,7 +215,7 @@ def numpy_library_dirs() -> tuple:
 
 
 def resolve(directories):
-    """``(dstevd, dsterf, dstebz, dstein, binding)`` from the first
+    """``(eigh, eigvalsh, level_pair, binding)`` from the first
     ``libscipy_openblas64_*`` library in ``directories`` that exports all
     four routines, else from ``scipy.linalg.lapack``.
 
@@ -213,7 +226,10 @@ def resolve(directories):
         for path in sorted(Path(directory).glob("libscipy_openblas64_*")):
             try:
                 library = ctypes.CDLL(str(path))
-                functions = [getattr(library, f"scipy_{name}_64_") for name in _ROUTINES]
+                dstevd, dsterf, dstebz, dstein = (
+                    getattr(library, f"scipy_{name}_64_")
+                    for name in ("dstevd", "dsterf", "dstebz", "dstein")
+                )
             except (OSError, AttributeError):
                 continue
             get_corename = getattr(library, "scipy_openblas_get_corename64_", None)
@@ -221,12 +237,12 @@ def resolve(directories):
             if get_corename is not None:
                 get_corename.restype = ctypes.c_char_p
                 corename = get_corename().decode("ascii", "replace")
-            routines = [cls(name, f) for (name, cls), f in zip(_ROUTINES.items(), functions)]
-            return (*routines, {"library": path.name, "corename": corename})
-    from scipy.linalg import lapack
+            solves = _OpenBLAS(dstevd, dsterf, dstebz, dstein)
+            binding = {"library": path.name, "corename": corename}
+            return solves.eigh, solves.eigvalsh, solves.level_pair, binding
+    solves = _Scipy()
+    binding = {"library": "scipy.linalg.lapack", "corename": None}
+    return solves.eigh, solves.eigvalsh, solves.level_pair, binding
 
-    routines = [getattr(lapack, name) for name in _ROUTINES]
-    return (*routines, {"library": "scipy.linalg.lapack", "corename": None})
 
-
-dstevd, dsterf, dstebz, dstein, BINDING = resolve(numpy_library_dirs())
+eigh, eigvalsh, level_pair, BINDING = resolve(numpy_library_dirs())

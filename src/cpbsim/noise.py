@@ -12,8 +12,7 @@ The matrix elements need no complex eigensolve. The diagonal gauge D of
 :func:`cpbsim.model.gauge_tridiagonal` maps H to a real symmetric
 tridiagonal T, and D commutes with the charge operator n, so the elements
 are those of n between the real eigenvectors of T. Each instant solves only
-the pair (k, k+1) it needs: LAPACK ``dstebz`` bisects for the two
-eigenvalues and ``dstein`` finds their eigenvectors by inverse iteration.
+the pair (k, k+1) it needs, by ``cpbsim._lapack.level_pair``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dstebz, dstein
+from ._lapack import level_pair
 from .drive import sample_drive
 from .model import (
     KB_OVER_HBAR,
@@ -33,7 +32,6 @@ from .model import (
     charge_labels,
     gauge_tridiagonal,
 )
-from .propagate import _check_lapack
 
 DEFAULT_BATH_TEMPERATURE = 0.030  # kelvin; typical dilution-fridge operation
 
@@ -116,23 +114,29 @@ def dephasing_ratio(
     gauge D is diagonal, so it commutes with the charge operator n, and
     with H = D T D^dagger the eigenvectors of H are D s for the real
     eigenvectors s of T: <k|n|k'> = s_k^T n s_k'. Only the pair (k, k+1) is
-    solved, by LAPACK bisection (``dstebz``) for the two eigenvalues and
-    inverse iteration (``dstein``) for their eigenvectors. The ratio does
-    not depend on the sign of either eigenvector, so none is pinned. A
-    LAPACK failure raises ``numpy.linalg.LinAlgError``.
+    solved, by ``cpbsim._lapack.level_pair``: LAPACK bisection (``dstebz``)
+    for the two eigenvalues and inverse iteration (``dstein``) for their
+    eigenvectors. The ratio does not depend on the sign of either
+    eigenvector, so none is pinned. A LAPACK failure raises
+    ``numpy.linalg.LinAlgError``.
     """
+    n_values = _charge_values(params, t_bath, k)
     diagonals, offs, _ = gauge_tridiagonal(params, [bias])
-    return _ratio_point(params, bias, diagonals[0], offs[0], t_bath, k, time)
+    return _ratio_point(params, bias, diagonals[0], offs[0], n_values, t_bath, k, time)
 
 
-def _ratio_point(params, bias, diagonal, off, t_bath, k, time):
-    """:func:`dephasing_ratio` from the tridiagonal form of ``bias``."""
+def _charge_values(params, t_bath, k):
+    """The float charge labels, once ``t_bath`` and ``k`` are checked."""
     if t_bath <= 0:
         raise ValueError("bath temperature must be positive")
     if not 0 <= k < params.n_charges - 1:
         raise ValueError("level index k+1 outside the basis")
-    energies, states = _level_pair(diagonal, off, k)
-    n_values = charge_labels(params).astype(float)
+    return charge_labels(params).astype(float)
+
+
+def _ratio_point(params, bias, diagonal, off, n_values, t_bath, k, time):
+    """:func:`dephasing_ratio` from the tridiagonal form of ``bias``."""
+    energies, states = level_pair(diagonal, off, k)
     elements = states.T @ (n_values[:, None] * states)
     off_element = elements[0, 1] ** 2
     diag = elements[0, 0] - elements[1, 1]
@@ -153,25 +157,6 @@ def _ratio_point(params, bias, diagonal, off, t_bath, k, time):
     )
 
 
-def _level_pair(diagonal: np.ndarray, off: np.ndarray, k: int):
-    """Eigenvalues k, k+1 (ascending, 0-based) of a real symmetric
-    tridiagonal matrix and their orthonormal eigenvectors as columns."""
-    # range 2 selects eigenvalues by 1-based index il..iu; tolerance 0 is
-    # LAPACK's default (eps times the norm of T). dstein needs them grouped
-    # by split-off block (order "B"), which puts the upper one first where
-    # T splits between the two with the lower one in a later block.
-    count, energies, block, split, info = dstebz(
-        diagonal, off, 2, 0.0, 0.0, k + 1, k + 2, 0.0, "B"
-    )
-    _check_lapack("dstebz", info)
-    if count != 2:
-        raise np.linalg.LinAlgError(f"LAPACK dstebz found {count} eigenvalues, not 2")
-    states, info = dstein(diagonal, off, energies[:2], block, split)
-    _check_lapack("dstein", info)
-    pair = np.argsort(energies[:2], kind="stable")
-    return energies[pair], states[:, pair]
-
-
 def ratio_trace(
     params: DeviceParams,
     protocol,
@@ -186,11 +171,12 @@ def ratio_trace(
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    n_values = _charge_values(params, t_bath, k)
     times = np.linspace(0.0, protocol.duration, n_samples)
     biases = [sample_drive(protocol, float(t)) for t in times]
     diagonals, offs, _ = gauge_tridiagonal(params, biases)
     return [
-        _ratio_point(params, bias, diagonal, off, t_bath, k, float(t))
+        _ratio_point(params, bias, diagonal, off, n_values, t_bath, k, float(t))
         for t, bias, diagonal, off in zip(times, biases, diagonals, offs)
     ]
 

@@ -10,11 +10,13 @@ Each frozen H is tridiagonal with one phase arg E_J on every bond, so a
 diagonal gauge D makes it a real symmetric tridiagonal T (see
 :func:`cpbsim.model.gauge_tridiagonal`, which assembles the T and D of a
 block of step midpoints in one call). A step is then
-U_step = D S exp(-i E dt) S^T D^dagger with T = S E S^T from LAPACK
-``dstevd``; S and S^T are applied as real products, and consecutive steps
-share one diagonal gauge change D_new^dagger D_old. The dense complex
-route, which diagonalizes the full H, is kept in ``tests/_dense.py`` as the
-reference the tests compare against.
+U_step = D S exp(-i E dt) S^T D^dagger with T = S E S^T from
+``cpbsim._lapack.eigh`` (LAPACK ``dstevd``); S and S^T are applied as real
+products, and consecutive steps share one diagonal gauge change
+D_new^dagger D_old. :func:`spectrum_trace` needs only the levels, from
+``cpbsim._lapack.eigvalsh`` (``dsterf``). The dense complex route, which
+diagonalizes the full H, is kept in ``tests/_dense.py`` as the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._lapack import dstevd, dsterf
+from ._lapack import eigh, eigvalsh
 from .drive import sample_drive
 from .model import DeviceParams, gauge_tridiagonal
 
@@ -141,8 +143,7 @@ def evolve(
 
 def _eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
     """Eigenvalues and orthonormal eigenvectors of a real symmetric tridiagonal."""
-    energies, states, info = dstevd(diagonal, off)
-    _check_lapack("dstevd", info)
+    energies, states = eigh(diagonal, off)
     # dstevd's column norms miss 1 by a few ulps with a slight bias, which
     # adds up over thousands of near-identical steps (the default 6,667-step
     # propagator drifts ~1e-12 from unitary). A first-order renormalization,
@@ -168,11 +169,6 @@ def _real_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (a @ w.view(float)).view(complex)
 
 
-def _check_lapack(routine: str, info: int) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Largest elementwise magnitude of U^dagger U - 1."""
     n = u.shape[0]
@@ -183,7 +179,8 @@ def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTr
     """Sample the instantaneous spectrum at n_samples points over the protocol.
 
     Raises ``FloatingPointError`` when a level, measured from the ground
-    energy, is not finite.
+    energy, is not finite, and ``numpy.linalg.LinAlgError`` when the LAPACK
+    eigensolver fails.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -195,8 +192,7 @@ def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTr
     # finite entries can still span more than the float range; refused below
     with np.errstate(over="ignore"):
         for i, (diagonal, off) in enumerate(zip(diagonals, offs)):
-            levels, info = dsterf(diagonal, off)
-            _check_lapack("dsterf", info)
+            levels = eigvalsh(diagonal, off)
             energies[i] = levels - levels[0]
     if not np.isfinite(energies).all():
         raise FloatingPointError("the spectrum has a non-finite level")

@@ -1,7 +1,10 @@
-"""The LAPACK binding: the same bits as scipy's f2py wrappers, the scipy
-fallback, and per-thread buffers."""
+"""The three eigensolves: numpy's OpenBLAS binding gives the bits of the
+scipy fallback, failures raise and exit 2 through both bindings, and
+per-thread buffers."""
 
 import inspect
+import json
+import re
 import threading
 
 import numpy as np
@@ -9,18 +12,23 @@ import pytest
 from scipy.linalg import lapack
 
 from cpbsim import (
+    BiasPoint,
     DeviceParams,
     PropagatorConfig,
     default_protocol,
     evolve,
+    ratio_trace,
     reverse_protocol,
     sample_drive,
     spectrum_trace,
 )
 from cpbsim import _lapack, noise, propagate
-from cpbsim.model import gauge_tridiagonal
+from cpbsim.cli import main
+from cpbsim.model import charge_labels, gauge_tridiagonal
 
 OPENBLAS = _lapack.BINDING["library"] != "scipy.linalg.lapack"
+# (eigh, eigvalsh, level_pair, binding) of the scipy fallback
+SCIPY = _lapack.resolve([])
 
 
 def _random_forms(seed, count, n):
@@ -48,44 +56,57 @@ def _same(ours, theirs):
     """Equal bits, and arrays in the same memory order."""
     assert len(ours) == len(theirs)
     for a, b in zip(ours, theirs):
-        if isinstance(b, np.ndarray):
-            assert np.array_equal(a, b)
-            assert a.flags.f_contiguous == b.flags.f_contiguous
-        else:
-            assert a == b
+        assert np.array_equal(a, b)
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+            b.flags.c_contiguous, b.flags.f_contiguous)
 
 
 @pytest.mark.parametrize("forms", FORMS.values(), ids=FORMS.keys())
 def test_routines_match_scipy_bit_for_bit(forms):
+    eigh, eigvalsh, level_pair, _ = SCIPY
     n = forms[0][0].size
-    for i, (d, e) in enumerate(forms):
+    for d, e in forms:
         d_in, e_in = d.copy(), e.copy()
-        _same(_lapack.dstevd(d, e), lapack.dstevd(d, e))
-        _same(_lapack.dsterf(d, e), lapack.dsterf(d, e))
-        # ranges: 2 by index, 1 by value (vl, vu], 0 all (on a few forms)
-        queries = [(2, 0.0, 0.0, 1, 2, 0.0, "B"), (2, 0.0, 0.0, n - 1, n, 0.0, "E"),
-                   (1, -1.0, 1.0, 0, 0, 1e-9, "B")]
-        if i < 10:
-            queries.append((0, 0.0, 0.0, 0, 0, 0.0, "E"))
-        for query in queries:
-            ours = _lapack.dstebz(d, e, *query)
-            theirs = lapack.dstebz(d, e, *query)
-            _same(ours, theirs)
-            m = theirs[0]
-            # dstein on both bindings' iblock/isplit: int64 here, int32 from f2py
-            for block, split in (ours[2:4], theirs[2:4]):
-                _same(_lapack.dstein(d, e, theirs[1][:m], block, split),
-                      lapack.dstein(d, e, theirs[1][:m], theirs[2], theirs[3]))
+        _same(_lapack.eigh(d, e), eigh(d, e))
+        _same([_lapack.eigvalsh(d, e)], [eigvalsh(d, e)])
+        for k in sorted({0, 1, n // 2, n - 2}):
+            _same(_lapack.level_pair(d, e, k), level_pair(d, e, k))
         assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
+
+
+def test_level_pair_ascends_across_split_blocks():
+    # without tunneling T is diagonal, and every charge is a block of its
+    # own. At gate charge -0.3 the lowest level is charge 0 and the next is
+    # charge -1, whose block comes first, so order "B" lists the upper first
+    params = DeviceParams(josephson_energy_total=0.0)
+    diagonals, offs, _ = gauge_tridiagonal(params, [BiasPoint(flux=0.25, gate_charge=-0.3)])
+    d, e = diagonals[0], offs[0]
+    assert not e.any()
+    _m, w, *_ = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 2, 0.0, "B")
+    assert w[0] > w[1]
+    labels = list(charge_labels(params))
+    expected = np.eye(d.size)[:, [labels.index(0), labels.index(-1)]]
+    d_in, e_in = d.copy(), e.copy()
+    pairs = [_lapack.level_pair(d, e, 0), SCIPY[2](d, e, 0)]
+    for vals, z in pairs:
+        assert vals[0] < vals[1]
+        assert np.array_equal(np.abs(z), expected)
+    _same(*pairs)
+    assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
 
 
 def test_resolver_falls_back_to_scipy(tmp_path):
     # an empty directory, and one whose library file does not load
     (tmp_path / "broken").mkdir()
     (tmp_path / "broken" / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
-    *routines, binding = _lapack.resolve([tmp_path / "empty", tmp_path / "broken"])
-    assert routines == [lapack.dstevd, lapack.dsterf, lapack.dstebz, lapack.dstein]
+    eigh, eigvalsh, level_pair, binding = _lapack.resolve(
+        [tmp_path / "empty", tmp_path / "broken"])
     assert binding == {"library": "scipy.linalg.lapack", "corename": None}
+    assert {type(solve.__self__).__name__ for solve in (eigh, eigvalsh, level_pair)} == {
+        "_Scipy"}
+    d, e = FORMS["drive-51"][0]
+    _same(eigh(d, e), lapack.dstevd(d, e)[:2])
+    _same([eigvalsh(d, e)], [lapack.dsterf(d, e)[0]])
 
 
 @pytest.mark.skipif(not OPENBLAS, reason="numpy carries no bundled OpenBLAS LAPACK")
@@ -93,19 +114,107 @@ def test_binding_names_numpy_openblas():
     binding = _lapack.BINDING
     assert binding["library"].startswith("libscipy_openblas64_")
     assert binding["corename"]
-    *routines, again = _lapack.resolve(_lapack.numpy_library_dirs())
+    *solves, again = _lapack.resolve(_lapack.numpy_library_dirs())
     assert again == binding
-    assert [type(r).__name__ for r in routines] == ["_Dstevd", "_Dsterf", "_Dstebz", "_Dstein"]
+    assert [type(solve.__self__).__name__ for solve in solves] == ["_OpenBLAS"] * 3
 
 
 def test_routines_are_not_plain_functions():
     # the benchmark tracer wraps every public cpbsim function, and tests
     # replace these names in the two modules that call them
-    for module, names in ((propagate, ("dstevd", "dsterf")), (noise, ("dstebz", "dstein"))):
+    for module, names in ((propagate, ("eigh", "eigvalsh")), (noise, ("level_pair",))):
         for name in names:
-            routine = getattr(module, name)
-            assert routine is getattr(_lapack, name)
-            assert callable(routine) and not inspect.isfunction(routine)
+            solve = getattr(module, name)
+            assert solve is getattr(_lapack, name)
+            assert callable(solve) and not inspect.isfunction(solve)
+    for solve in SCIPY[:3]:
+        assert callable(solve) and not inspect.isfunction(solve)
+
+
+def _use_scipy(monkeypatch):
+    """Route propagate's and noise's solves through the scipy fallback."""
+    eigh, eigvalsh, level_pair, _ = SCIPY
+    monkeypatch.setattr(propagate, "eigh", eigh)
+    monkeypatch.setattr(propagate, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(noise, "level_pair", level_pair)
+
+
+def _payloads(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"]
+    return {name: (out / name).read_bytes() for name in manifest["outputs"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum"], ["noise"], ["run", "--exact", "--dt", "1e-3"]],
+    ids=["spectrum", "noise", "run-exact"],
+)
+def test_fallback_writes_the_same_payloads(monkeypatch, tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "numpy")]) == 0
+    _use_scipy(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "scipy")]) == 0
+    assert _payloads(tmp_path / "scipy") == _payloads(tmp_path / "numpy")
+
+
+# routine: (solve, a command whose first solve it fails, ctypes argument
+# position of its info). dstebz's eigenvalue count is its argument 10 and
+# the first of the f2py wrapper's outputs; info is the wrapper's last
+FAILURES = {
+    "dstevd": ("eigh", ["run", "--exact", "--dt", "1e-3"], 10),
+    "dsterf": ("eigvalsh", ["spectrum"], 3),
+    "dstebz": ("level_pair", ["noise"], 17),
+    "dstein": ("level_pair", ["noise"], 12),
+}
+CASES = {
+    f"{binding}-{routine}-{what}": (binding, routine, what)
+    for binding in ("numpy", "scipy")
+    for routine, what in [(r, "info") for r in FAILURES] + [("dstebz", "count")]
+}
+
+
+@pytest.mark.parametrize("binding, routine, what", CASES.values(), ids=CASES.keys())
+def test_solve_failure_raises_and_command_exits_2(
+    monkeypatch, tmp_path, capsys, binding, routine, what
+):
+    name, argv, info_arg = FAILURES[routine]
+    value = 3 if what == "info" else 1
+    if binding == "numpy":
+        if not OPENBLAS:
+            pytest.skip("numpy carries no bundled OpenBLAS LAPACK")
+        solves = _lapack.eigh.__self__
+        real = getattr(solves, f"_{routine}")
+        position = info_arg if what == "info" else 10
+
+        def stand_in(*args):
+            # the real routine, then a value written through the byref it got
+            real(*args)
+            args[position]._obj.value = value
+
+        monkeypatch.setattr(solves, f"_{routine}", stand_in)
+    else:
+        real = getattr(lapack, routine)
+        position = -1 if what == "info" else 0
+
+        def stand_in(*args):
+            out = list(real(*args))
+            out[position] = value
+            return tuple(out)
+
+        monkeypatch.setattr(lapack, routine, stand_in)
+        _use_scipy(monkeypatch)
+    solve = getattr(noise if name == "level_pair" else propagate, name)
+    if what == "info":
+        message = f"LAPACK {routine} failed (info = 3)"
+    else:
+        message = "LAPACK dstebz found 1 eigenvalues, not 2"
+    d, e = FORMS["drive-51"][0]
+    with pytest.raises(np.linalg.LinAlgError, match=re.escape(message)):
+        solve(d, e, 0) if name == "level_pair" else solve(d, e)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"cpbsim: {message}\n"
 
 
 def test_threads_give_serial_bits():
@@ -118,6 +227,8 @@ def test_threads_give_serial_bits():
         lambda: spectrum_trace(params, forward, 500).energies,
         lambda: evolve(params, backward, config),
         lambda: spectrum_trace(params, backward, 500).energies,
+        lambda: [p.tphi_over_t1 for p in ratio_trace(params, forward, 200)],
+        lambda: [p.tphi_over_t1 for p in ratio_trace(params, backward, 200)],
     ]
     serial = [task() for task in tasks]
     # each thread runs every task, the two in opposite orders, so the same

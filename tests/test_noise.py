@@ -23,7 +23,6 @@ from cpbsim import (
     window_width,
 )
 from cpbsim import noise
-from cpbsim.cli import main
 
 from _dense import build_hamiltonian, eigensystem
 
@@ -266,28 +265,6 @@ def test_dephasing_ratio_matches_dense_route(k):
             assert abs(point.tphi_over_t1 - reference) <= 1e-8 * reference + 1e-19
             compared += 1
     assert compared > 250
-
-
-@pytest.mark.parametrize(
-    "result, message",
-    [((2, 1), "info = 1"), ((1, 0), "found 1 eigenvalues")],
-    ids=["info", "count"],
-)
-def test_level_pair_failure_raises_and_noise_exits_2(
-    monkeypatch, tmp_path, params, result, message
-):
-    count, info = result
-
-    def failing_dstebz(d, e, *args):
-        blocks = np.ones(d.size, dtype=np.int32)
-        return count, np.zeros(d.size), blocks, np.zeros_like(blocks), info
-
-    monkeypatch.setattr(noise, "dstebz", failing_dstebz)
-    with pytest.raises(np.linalg.LinAlgError, match=message):
-        dephasing_ratio(params, BiasPoint(flux=0.25, gate_charge=-1.95))
-    out = tmp_path / "noise"
-    assert main(["noise", "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 def test_window_width_rejects_non_uniform_trace(params, protocol):

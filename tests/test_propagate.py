@@ -18,7 +18,6 @@ from cpbsim import (
     unitarity_defect,
 )
 from cpbsim import propagate
-from cpbsim.cli import main
 from cpbsim.propagate import _grid
 
 from _dense import build_hamiltonian, eigensystem, step_unitary
@@ -216,18 +215,6 @@ def test_evolve_assembly_blocks_do_not_change_u(monkeypatch, params, protocol):
     for block in (1, 7, 1000):
         monkeypatch.setattr(propagate, "_ASSEMBLY_BLOCK", block)
         assert np.array_equal(evolve(params, protocol, COARSE, *window), u)
-
-
-def test_evolve_lapack_failure_raises_and_exits_2(monkeypatch, tmp_path, params, protocol):
-    def failing_dstevd(diagonal, off):
-        return diagonal, np.eye(diagonal.size), 1
-
-    monkeypatch.setattr(propagate, "dstevd", failing_dstevd)
-    with pytest.raises(np.linalg.LinAlgError, match="dstevd"):
-        evolve(params, protocol, COARSE)
-    out = tmp_path / "run"
-    assert main(["run", "--dt", "1e-3", "--out", str(out)]) == 2
-    assert not out.exists()
 
 
 def test_evolve_window_validation(params, protocol):
