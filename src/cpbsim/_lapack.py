@@ -214,13 +214,24 @@ def numpy_library_dirs() -> tuple:
     return package.parent / "numpy.libs", package / ".dylibs"
 
 
+def _openblas_text(library, name: str):
+    """The string OpenBLAS's ``openblas_get_<name>`` returns, or ``None``
+    where the library does not export it."""
+    function = getattr(library, f"scipy_openblas_get_{name}64_", None)
+    if function is None:
+        return None
+    function.restype = ctypes.c_char_p
+    return function().decode("ascii", "replace")
+
+
 def resolve(directories):
     """``(eigh, eigvalsh, level_pair, binding)`` from the first
     ``libscipy_openblas64_*`` library in ``directories`` that exports all
     four routines, else from ``scipy.linalg.lapack``.
 
     ``binding`` names the library the routines come from and, for OpenBLAS,
-    the kernel set it picked for this CPU (``corename``).
+    the kernel set it picked for this CPU (``corename``) and its version and
+    build options (``config``).
     """
     for directory in directories:
         for path in sorted(Path(directory).glob("libscipy_openblas64_*")):
@@ -232,16 +243,15 @@ def resolve(directories):
                 )
             except (OSError, AttributeError):
                 continue
-            get_corename = getattr(library, "scipy_openblas_get_corename64_", None)
-            corename = None
-            if get_corename is not None:
-                get_corename.restype = ctypes.c_char_p
-                corename = get_corename().decode("ascii", "replace")
             solves = _OpenBLAS(dstevd, dsterf, dstebz, dstein)
-            binding = {"library": path.name, "corename": corename}
+            binding = {
+                "library": path.name,
+                "corename": _openblas_text(library, "corename"),
+                "config": _openblas_text(library, "config"),
+            }
             return solves.eigh, solves.eigvalsh, solves.level_pair, binding
     solves = _Scipy()
-    binding = {"library": "scipy.linalg.lapack", "corename": None}
+    binding = {"library": "scipy.linalg.lapack", "corename": None, "config": None}
     return solves.eigh, solves.eigvalsh, solves.level_pair, binding
 
 

@@ -62,67 +62,24 @@ EXIT_CONFIG = 2
 EXIT_THRESHOLD = 3
 
 
-def _bool_word(value) -> str:
-    return "true" if value else "false"
+_BOOLS = (bool, np.bool_)
+_FLOATS = (float, np.floating)
 
 
-def _json_float_word(value):
-    # JSON has no inf or nan literal
-    return None if math.isfinite(value) else "null"
-
-
-def _null_word(value) -> str:
-    return "null"
-
-
-@dataclasses.dataclass(frozen=True)
-class _Rule:
-    """How a value of ``types`` prints: the ``%`` conversion of a CSV cell and
-    of a JSON value (``None``: not a JSON value), and per format the function
-    giving the text printed instead; where there is none, or it returns
-    ``None``, the conversion prints the value."""
-
-    types: tuple
-    csv: str
-    json: str | None
-    csv_text: object = None
-    json_text: object = None
-
-
-_FLOAT = _Rule((float, np.floating), "%.12g", "%.17g", json_text=_json_float_word)
-
-#: The one rule per value type, tried in order: a bool is also an int, and
-#: any other type is a ``str()`` CSV cell.
-_RULES = (
-    _Rule((bool, np.bool_), "%s", "%s", _bool_word, _bool_word),
-    _Rule((int, np.integer), "%d", "%d"),
-    _FLOAT,
-    _Rule((str,), "%s", "%s", json_text=json.dumps),
-    _Rule((type(None),), "%s", "%s", json_text=_null_word),
-    _Rule((object,), "%s", None),
-)
-
-
-def _rule(kind: type) -> _Rule:
-    return next(rule for rule in _RULES if issubclass(kind, rule.types))
-
-
-def _print(value, conv: str, text) -> str:
-    word = None if text is None else text(value)
-    return conv % (value,) if word is None else word
-
-
-def _row_template(kinds: tuple):
-    """The ``%`` template of a CSV row of cells of these types, and the
-    (index, conversion, text function) of each cell printed before it."""
-    rules = [_rule(kind) for kind in kinds]
-    template = ",".join("%s" if r.csv_text else r.csv for r in rules)
-    texts = tuple((i, r.csv, r.csv_text) for i, r in enumerate(rules) if r.csv_text)
-    return template, texts
+def _csv_conversion(kind: type) -> str:
+    """The ``%`` conversion of a CSV cell of this type."""
+    if issubclass(kind, _BOOLS):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    if issubclass(kind, _FLOATS):
+        return "%.12g"
+    return "%s"
 
 
 def _csv(rows) -> str:
-    """CSV text: each row through the template of its tuple of cell types."""
+    """CSV text: each row through one ``%`` template per tuple of cell types,
+    its bool cells first replaced by their words."""
     templates = {}
     lines = []
     for row in rows:
@@ -130,32 +87,47 @@ def _csv(rows) -> str:
         kinds = tuple(map(type, values))
         compiled = templates.get(kinds)
         if compiled is None:
-            compiled = templates[kinds] = _row_template(kinds)
-        template, texts = compiled
-        if texts:
+            bools = [i for i, kind in enumerate(kinds) if issubclass(kind, _BOOLS)]
+            template = ",".join(map(_csv_conversion, kinds))
+            compiled = templates[kinds] = template, bools
+        template, bools = compiled
+        if bools:
             values = list(values)
-            for i, conv, text in texts:
-                values[i] = _print(values[i], conv, text)
+            for i in bools:
+                values[i] = "true" if values[i] else "false"
             values = tuple(values)
         lines.append(template % values)
     return "\n".join(lines) + "\n"
 
 
-def _jdump(obj, indent: int = 0, templates: dict | None = None) -> str:
+def _json_scalar(value) -> str:
+    """One JSON scalar: a bool, int, float, str or None."""
+    if isinstance(value, _BOOLS):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    if isinstance(value, _FLOATS):
+        # JSON has no inf or nan literal
+        return "%.17g" % value if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _jdump(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion order kept, floats at 17 digits.
 
-    A list of finite floats goes through one template per length and depth,
-    built once per call in ``templates``.
+    A list of finite floats goes through one ``%`` template.
     """
-    if templates is None:
-        templates = {}
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(k))}: {_jdump(v, indent + 1, templates)}"
+            f"{inner}{json.dumps(str(k))}: {_jdump(v, indent + 1)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -163,19 +135,12 @@ def _jdump(obj, indent: int = 0, templates: dict | None = None) -> str:
         if len(obj) == 0:
             return "[]"
         kinds = set(map(type, obj))
-        if all(_rule(k) is _FLOAT for k in kinds) and all(map(math.isfinite, obj)):
-            key = (indent, len(obj))
-            template = templates.get(key)
-            if template is None:
-                items = ",\n".join([inner + _FLOAT.json] * len(obj))
-                template = templates[key] = "[\n" + items + "\n" + pad + "]"
-            return template % tuple(obj)
-        items = [f"{inner}{_jdump(v, indent + 1, templates)}" for v in obj]
+        if all(issubclass(k, _FLOATS) for k in kinds) and all(map(math.isfinite, obj)):
+            items = ",\n".join([inner + "%.17g"] * len(obj))
+            return ("[\n" + items + "\n" + pad + "]") % tuple(obj)
+        items = [f"{inner}{_jdump(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    rule = _rule(type(obj))
-    if rule.json is None:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return _print(obj, rule.json, rule.json_text)
+    return _json_scalar(obj)
 
 
 class _OutputSet:

@@ -189,7 +189,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         label_rows(charge_labels(self.device), self.subspace)
-        if any(t <= 0.0 for t in self.temperatures_k):
+        if not all(t > 0.0 for t in self.temperatures_k):
             raise ValueError("temperatures_k entries must be positive")
         if self.events < 1:
             raise ValueError("config key 'events' must be >= 1")
@@ -199,9 +199,9 @@ class RunConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.mode not in (EXACT, SAMPLED):
             raise ValueError("mode must be 'exact' or 'sampled'")
-        if self.microrev_tolerance <= 0.0:
+        if not self.microrev_tolerance > 0.0:
             raise ValueError("microrev_tolerance must be positive")
-        if self.bath_temperature_k <= 0.0:
+        if not self.bath_temperature_k > 0.0:
             raise ValueError("bath_temperature_k must be positive")
         for key in ("spectrum_samples", "trace_samples"):
             if getattr(self, key) < 2:

@@ -64,11 +64,11 @@ class DetectorParams:
     coupling_capacitance: float = 0.20
 
     def __post_init__(self) -> None:
-        if self.charge_sensitivity <= 0 or self.measurement_time <= 0:
+        if not self.charge_sensitivity > 0 or not self.measurement_time > 0:
             raise ValueError("sensitivity and measurement time must be positive")
-        if self.island_capacitance <= 0:
+        if not self.island_capacitance > 0:
             raise ValueError("island capacitance must be positive")
-        if self.coupling_capacitance < 0:
+        if not self.coupling_capacitance >= 0:
             raise ValueError("coupling capacitance must be non-negative")
 
 
@@ -127,7 +127,7 @@ def dephasing_ratio(
 
 def _charge_values(params, t_bath, k):
     """The float charge labels, once ``t_bath`` and ``k`` are checked."""
-    if t_bath <= 0:
+    if not t_bath > 0:
         raise ValueError("bath temperature must be positive")
     if not 0 <= k < params.n_charges - 1:
         raise ValueError("level index k+1 outside the basis")

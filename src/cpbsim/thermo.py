@@ -121,7 +121,7 @@ class BKRatioRecord:
 
 def thermal_energy(temperature: float) -> float:
     """k_B*T in rad/ns for T in kelvin."""
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive")
     return KB_OVER_HBAR * temperature
 

@@ -512,7 +512,7 @@ def test_spectrum_outputs_and_manifest(tmp_path):
     keys = list(manifest)
     assert keys[keys.index("timestamp_utc") + 1] == "lapack"
     assert manifest["lapack"] == cpbsim._lapack.BINDING
-    assert set(manifest["lapack"]) == {"library", "corename"}
+    assert set(manifest["lapack"]) == {"library", "corename", "config"}
     digest = hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest()
     assert manifest["outputs"]["spectrum.csv"] == digest
     # the resolved-config echo must round-trip through the parser unchanged
@@ -1117,8 +1117,13 @@ def test_formatter_matches_per_cell_rules(seed):
     assert cpbsim.cli._csv(rows) == expected
     assert cpbsim.cli._csv(tuple(row) for row in rows) == expected
 
-    doc = {"rows": rows, "empty": [], "nested": {"x": rows[:5], "y": {}}}
-    assert cpbsim.cli._jdump(doc) == _oracle_json(doc)
+    # finite-float lists of one length at two depths, and a float list with
+    # a nan, which prints null; a tuple prints as the list of its items
+    floats = rng.standard_normal(4).tolist()
+    doc = {"rows": rows, "empty": [], "nested": {"x": rows[:5], "y": {}, "f": floats},
+           "floats": rng.standard_normal(4).tolist(), "nan": [*floats[:2], math.nan],
+           "tuple": tuple(floats)}
+    assert cpbsim.cli._jdump(doc) == _oracle_json({**doc, "tuple": floats})
 
 
 def test_json_refuses_a_type_without_a_rule():

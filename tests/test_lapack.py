@@ -101,7 +101,7 @@ def test_resolver_falls_back_to_scipy(tmp_path):
     (tmp_path / "broken" / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
     eigh, eigvalsh, level_pair, binding = _lapack.resolve(
         [tmp_path / "empty", tmp_path / "broken"])
-    assert binding == {"library": "scipy.linalg.lapack", "corename": None}
+    assert binding == {"library": "scipy.linalg.lapack", "corename": None, "config": None}
     assert {type(solve.__self__).__name__ for solve in (eigh, eigvalsh, level_pair)} == {
         "_Scipy"}
     d, e = FORMS["drive-51"][0]
@@ -114,6 +114,7 @@ def test_binding_names_numpy_openblas():
     binding = _lapack.BINDING
     assert binding["library"].startswith("libscipy_openblas64_")
     assert binding["corename"]
+    assert binding["config"].startswith("OpenBLAS ")
     *solves, again = _lapack.resolve(_lapack.numpy_library_dirs())
     assert again == binding
     assert [type(solve.__self__).__name__ for solve in solves] == ["_OpenBLAS"] * 3

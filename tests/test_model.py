@@ -8,13 +8,17 @@ import scipy.linalg
 from cpbsim import (
     KB_OVER_HBAR,
     BiasPoint,
+    DetectorParams,
     DeviceParams,
+    RunConfig,
     beta_ratio,
     charge_labels,
     josephson_energy,
     label_rows,
+    thermal_energy,
 )
 from cpbsim.model import gauge_tridiagonal
+from cpbsim.noise import _charge_values
 
 from _dense import build_hamiltonian, eigensystem, hermiticity_defect
 
@@ -81,6 +85,36 @@ def test_josephson_energy_total_must_be_non_negative(value):
     # nan fails every comparison, so the check must be "not >= 0", not "< 0"
     with pytest.raises(ValueError, match="^josephson_energy_total must be non-negative$"):
         DeviceParams(josephson_energy_total=value)
+
+
+SIGN_CHECKS = {
+    "charge_sensitivity": (lambda v: DetectorParams(charge_sensitivity=v),
+                           "sensitivity and measurement time must be positive"),
+    "measurement_time": (lambda v: DetectorParams(measurement_time=v),
+                         "sensitivity and measurement time must be positive"),
+    "island_capacitance": (lambda v: DetectorParams(island_capacitance=v),
+                           "island capacitance must be positive"),
+    "coupling_capacitance": (lambda v: DetectorParams(coupling_capacitance=v),
+                             "coupling capacitance must be non-negative"),
+    "thermal_energy": (thermal_energy, "temperature must be positive"),
+    "t_bath": (lambda v: _charge_values(DeviceParams(), v, 0),
+               "bath temperature must be positive"),
+    "temperatures_k": (lambda v: RunConfig(temperatures_k=(1.0, v)),
+                       "temperatures_k entries must be positive"),
+    "microrev_tolerance": (lambda v: RunConfig(microrev_tolerance=v),
+                           "microrev_tolerance must be positive"),
+    "bath_temperature_k": (lambda v: RunConfig(bath_temperature_k=v),
+                           "bath_temperature_k must be positive"),
+}
+
+
+@pytest.mark.parametrize("value", [-0.1, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("check", SIGN_CHECKS)
+def test_sign_checks_refuse_negative_and_nan(check, value):
+    # as above: each check reads "not x > 0" ("not x >= 0"), which nan fails
+    build, message = SIGN_CHECKS[check]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(value)
 
 
 def test_josephson_energy_anchor_points(params):
