@@ -227,6 +227,8 @@ def read_mapping(path) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"config file {path}: nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("config file must contain a JSON object")
     return data

@@ -146,17 +146,19 @@ def derive_seed(seed: int, *key: int) -> int:
     return int.from_bytes(seq.generate_state(4, dtype=np.uint32).tobytes(), "little")
 
 
-def partition_seeds(seed: int, n_events: int, partition: int = EVENT_PARTITION):
-    """Derived (offset, length, seed sequence) triples covering the event range."""
-    out = []
-    start = 0
-    k = 0
-    while start < n_events:
-        length = min(partition, n_events - start)
-        out.append((start, length, np.random.SeedSequence(entropy=seed, spawn_key=(k,))))
-        start += length
-        k += 1
-    return out
+def partition_seeds(seed: int, n_events: int):
+    """Seeded ``(generator, length)`` pairs covering ``n_events`` events.
+
+    Partition k holds ``EVENT_PARTITION`` events (the last one the rest) and
+    draws from ``default_rng(SeedSequence(entropy=seed, spawn_key=(k,)))``.
+    Pairs are made one at a time, as the caller reaches them, so iterating
+    holds one generator whatever the event count. ``EVENT_PARTITION`` is
+    read when iteration starts.
+    """
+    partition = EVENT_PARTITION
+    for k, start in enumerate(range(0, n_events, partition)):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(k,))
+        yield np.random.default_rng(seq), min(partition, n_events - start)
 
 
 #: Largest |sum(p) - 1| a probability vector may show, as in numpy's ``choice``.
@@ -227,9 +229,10 @@ _DRAW_BLOCK = 1 << 16
 def _pair_counts(partitions, initial_probs, columns, rows):
     """Two-point event histogram restricted to final indices ``rows``.
 
-    ``partitions`` is a sequence of ``(rng, size)`` pairs. ``counts[j, k]``
-    is the number of events, summed over the partitions, with initial index
-    j, drawn from ``initial_probs``, and final index ``rows[k]``, drawn from
+    ``partitions`` is any iterable of ``(rng, size)`` pairs, such as
+    :func:`partition_seeds`, read once and in order. ``counts[j, k]`` is the
+    number of events, summed over the partitions, with initial index j,
+    drawn from ``initial_probs``, and final index ``rows[k]``, drawn from
     column j of ``columns``.
 
     Stream contract: for each partition, the counts and the generator's
@@ -242,9 +245,11 @@ def _pair_counts(partitions, initial_probs, columns, rows):
     uniforms, exact integer arithmetic on comparison counts, and those
     counts add exactly over sub-slices.
 
-    Block contract: one call allocates one draw block of ``min(_DRAW_BLOCK,
-    largest partition)`` floats and one boolean mask of the same length,
-    whatever the event count. A partition reads ``u`` block by block with
+    Block contract: one call allocates one draw block of ``_DRAW_BLOCK``
+    floats and one boolean mask of the same length, whatever the event
+    count or the partition sizes (pages that short partitions never write
+    cost no resident memory), and the block size changes no count. A
+    partition reads ``u`` block by block with
     ``rng.random(out=block[:k])`` and sums the first-label counts; it then
     reads ``v`` block by block, walks the hit labels in increasing j, and
     splits a label's run where a block ends. The stream is read in the
@@ -259,7 +264,7 @@ def _pair_counts(partitions, initial_probs, columns, rows):
     """
     cdf = _cdf(initial_probs)
     first = cdf[cdf < 1.0]  # a prefix: the table is non-decreasing
-    block = np.empty(min(_DRAW_BLOCK, max(size for _rng, size in partitions)))
+    block = np.empty(_DRAW_BLOCK)
     mask = np.empty(block.size, dtype=bool)
     tables = {}
     counts = np.zeros((initial_probs.size, rows.size), dtype=np.int64)
@@ -289,22 +294,6 @@ def _pair_counts(partitions, initial_probs, columns, rows):
     return counts
 
 
-def _sample_pair_counts(seed, n_events, initial_probs, columns, rows):
-    """:func:`_pair_counts` over the seeded partitions of ``n_events``.
-
-    Each partition of :func:`partition_seeds` gets its own generator, so the
-    result does not depend on how partitions would be scheduled. The draw
-    block (``min(n_events, EVENT_PARTITION, _DRAW_BLOCK)`` floats), the mask
-    and the threshold tables are made once for the whole call, not per
-    partition, so the scratch memory does not grow with ``n_events``.
-    """
-    partitions = [
-        (np.random.default_rng(seq), length)
-        for _start, length, seq in partition_seeds(seed, n_events)
-    ]
-    return _pair_counts(partitions, initial_probs, columns, rows)
-
-
 def sample_experiment(
     prep: PreparationEnsemble,
     trans: TransitionMatrix,
@@ -314,10 +303,12 @@ def sample_experiment(
     """Count seeded two-point measurement events.
 
     The first outcome follows the preparation distribution, the second the
-    matching transition-matrix column. Events are counted in seeded
-    fixed-size partitions (:func:`_sample_pair_counts`), and the counts are
-    those of the events that ``Generator.choice`` would draw from each
-    partition's generator (see :func:`_pair_counts`).
+    matching transition-matrix column. Events are counted in the seeded
+    fixed-size partitions of :func:`partition_seeds`, each generator made
+    when counting reaches its partition, and the counts are those of the
+    events that ``Generator.choice`` would draw from each partition's
+    generator (see :func:`_pair_counts`). The scratch memory is one draw
+    block and mask, whatever ``n_events``.
     """
     if n_events <= 0:
         raise ValueError("n_events must be positive")
@@ -326,7 +317,7 @@ def sample_experiment(
     columns = trans.matrix / trans.matrix.sum(axis=0, keepdims=True)
     probs = prep.probabilities / prep.probabilities.sum()
     rows = np.arange(trans.labels.size)
-    counts = _sample_pair_counts(seed, n_events, probs, columns, rows)
+    counts = _pair_counts(partition_seeds(seed, n_events), probs, columns, rows)
     return ExperimentSample(
         counts=counts.T,
         labels=trans.labels,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import sample_drive
-from .experiment import TransitionMatrix, _sample_pair_counts
+from .experiment import TransitionMatrix, _pair_counts, partition_seeds
 from .model import (
     DEFAULT_SUBSPACE,
     KB_OVER_HBAR,
@@ -193,8 +193,10 @@ def gibbs_weights(ladder: EnergyLadder, temperature: float) -> GibbsWeights:
     built on it.
     """
     kt = thermal_energy(temperature)
-    shifted = (ladder.energies - ladder.energies.min()) / kt
-    raw = np.exp(-shifted)
+    # a subnormal kT overflows a shift to inf; its weight 0 is refused below
+    with np.errstate(over="ignore"):
+        shifted = (ladder.energies - ladder.energies.min()) / kt
+        raw = np.exp(-shifted)
     weights = raw / raw.sum()
     empty = np.flatnonzero(weights == 0.0)
     if empty.size:
@@ -291,7 +293,7 @@ def sample_work(
     columns = trans.matrix[:, cols]
     columns = columns / columns.sum(axis=0, keepdims=True)
     # pairs[i, j]: events with first ladder index i and second ladder index j
-    pairs = _sample_pair_counts(seed, n_events, weights.weights, columns, cols)
+    pairs = _pair_counts(partition_seeds(seed, n_events), weights.weights, columns, cols)
     values, group = _work_grid(ladder)
     counts = np.zeros(values.size, dtype=np.int64)
     np.add.at(counts, group, pairs)

@@ -91,14 +91,23 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_gibbs_refuses_underflowing_weights(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "temperature, refusal",
+    [("1e-3", "label 0 underflows to 0 at 0.001 K"),
+     ("1e-320", "label -1 underflows to 0 at 9.99989e-321 K")],
+    ids=["1e-3", "1e-320"],
+)
+def test_gibbs_refuses_underflowing_weights(tmp_path, capsys, temperature, refusal):
     # at 1 mK the Boltzmann weights of labels 0, 1 and 2 underflow to 0,
-    # which used to drop them from the exact exponentiated-work sum
+    # which used to drop them from the exact exponentiated-work sum; at a
+    # subnormal temperature the energy shifts overflow on the way there,
+    # and the refusal is still the only line
     out = tmp_path / "cold"
-    code = main(["gibbs", "--exact", "--temperatures", "1e-3", "--dt", "1e-3", "--out", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "label 0 underflows to 0 at 0.001 K" in err
+    argv = ["gibbs", "--exact", "--temperatures", temperature, "--dt", "1e-3"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"cpbsim: Gibbs weight of {refusal}; raise the temperature or narrow the subspace\n"
+    )
     assert not out.exists()
 
 
@@ -484,7 +493,12 @@ def test_overflowing_hamiltonian_exits_2(tmp_path, capsys, device, argv, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+# the third text nests far past the recursion limit of the JSON decoder
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "[1, 2]",
+     pytest.param('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested")],
+)
 def test_config_reader_shared_by_cli_and_loader(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
@@ -860,7 +874,7 @@ PAST_DRAW_BLOCK = _DRAW_BLOCK + 1
 
 def test_sampled_round_trips_cross_their_boundaries():
     def lengths(events):
-        return [length for _, length, _ in partition_seeds(0, events)]
+        return [length for _rng, length in partition_seeds(0, events)]
 
     assert lengths(CROSSES_PARTITION) == [
         EVENT_PARTITION, CROSSES_PARTITION - EVENT_PARTITION

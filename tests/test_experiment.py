@@ -128,10 +128,12 @@ def test_preparation_rejects_backward(params, backward_protocol, u_backward):
 
 
 def test_partition_seeds_cover_range():
-    triples = partition_seeds(123, 2 * EVENT_PARTITION + 17)
-    assert [t[0] for t in triples] == [0, EVENT_PARTITION, 2 * EVENT_PARTITION]
-    assert [t[1] for t in triples] == [EVENT_PARTITION, EVENT_PARTITION, 17]
-    assert sum(t[1] for t in triples) == 2 * EVENT_PARTITION + 17
+    pairs = list(partition_seeds(123, 2 * EVENT_PARTITION + 17))
+    assert [length for _rng, length in pairs] == [EVENT_PARTITION, EVENT_PARTITION, 17]
+    # partition k draws from the stream keyed on k alone
+    for k, (rng, _length) in enumerate(pairs):
+        expected = np.random.default_rng(np.random.SeedSequence(entropy=123, spawn_key=(k,)))
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_derive_seed_distinct_and_deterministic():

@@ -1,10 +1,11 @@
 """Scratch-memory bounds of the two hot paths.
 
-The two-point sampler draws its uniforms in fixed-size blocks, and
+The two-point sampler draws its uniforms in one fixed-size block and makes
+each partition's generator only when it reaches that partition, and
 ``evolve`` assembles and steps through fixed-size blocks of steps, so
-neither holds scratch memory that grows with the event or step count. The
-bounds are on the peak heap that ``tracemalloc`` sees during one call, over
-what was already held before it.
+neither holds scratch memory that grows with the event, partition or step
+count. The bounds are on the peak heap that ``tracemalloc`` sees during one
+call, over what was already held before it.
 """
 
 import tracemalloc
@@ -13,7 +14,9 @@ from cpbsim import (
     PropagatorConfig,
     energy_ladder,
     evolve,
+    experiment,
     gibbs_weights,
+    partition_seeds,
     sample_experiment,
     sample_work,
 )
@@ -44,6 +47,19 @@ def test_sample_work_scratch_is_bounded(params, protocol, trans_forward):
 
 def test_sample_experiment_scratch_is_bounded(preparation, trans_forward):
     assert _scratch_peak(sample_experiment, preparation, trans_forward, 10**6, 7) <= MIB
+
+
+def test_sampler_scratch_does_not_grow_with_partitions(
+    monkeypatch, params, protocol, preparation, trans_forward
+):
+    # 2,000 partitions of 500 events: a generator held per partition would
+    # cost about 1.3 kB each, 2.5 MiB in all
+    monkeypatch.setattr(experiment, "EVENT_PARTITION", 500)
+    assert sum(1 for _pair in partition_seeds(7, 10**6)) == 2000
+    ladder = energy_ladder(params, protocol)
+    weights = gibbs_weights(ladder, 10.0)
+    assert _scratch_peak(sample_experiment, preparation, trans_forward, 10**6, 7) <= MIB
+    assert _scratch_peak(sample_work, weights, trans_forward, ladder, 10**6, 7) <= MIB
 
 
 def test_evolve_scratch_does_not_grow_with_steps(params, protocol):

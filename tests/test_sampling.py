@@ -61,10 +61,8 @@ def _reference_work_counts(weights, trans, ladder, n_events, seed):
     back = np.full(trans.labels.size, -1, dtype=np.int64)
     back[cols] = np.arange(cols.size)
     discarded = 0
-    for _start, length, seq in partition_seeds(seed, n_events):
-        first, second = _reference_draw(
-            np.random.default_rng(seq), weights.weights, columns, length
-        )
+    for rng, length in partition_seeds(seed, n_events):
+        first, second = _reference_draw(rng, weights.weights, columns, length)
         inside = back[second] >= 0
         discarded += int(length - inside.sum())
         np.add.at(counts, group[first[inside], back[second[inside]]], 1)
@@ -247,8 +245,7 @@ def test_pair_counts_skip_first_label_entries_at_one(seed, case):
 
 
 # uneven partitions, a larger one after a short one and a short last one:
-# every partition reuses the one draw block and mask, sized by the largest
-# partition up to _DRAW_BLOCK
+# every partition reuses the one draw block and mask of _DRAW_BLOCK entries
 PARTITION_SIZES = ((999, 3, 1000, 17), (EVENT_PARTITION, 17))
 
 
@@ -338,8 +335,8 @@ def test_sample_experiment_matches_reference(preparation, trans_forward, n_event
     columns = trans_forward.matrix / trans_forward.matrix.sum(axis=0, keepdims=True)
     probs = preparation.probabilities / preparation.probabilities.sum()
     parts = [
-        _reference_draw(np.random.default_rng(seq), probs, columns, length)
-        for _start, length, seq in partition_seeds(9, n_events)
+        _reference_draw(rng, probs, columns, length)
+        for rng, length in partition_seeds(9, n_events)
     ]
     first = np.concatenate([f for f, _s in parts])
     second = np.concatenate([s for _f, s in parts])

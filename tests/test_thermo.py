@@ -186,6 +186,31 @@ def test_bk_equality_sampled_full_space_is_finite(ladder_full, trans_forward):
     assert math.isfinite(result.mean)
 
 
+def test_bk_equality_sampled_matches_closed_form():
+    # counts 1 and 3 on two atoms and none on a third whose factor
+    # exp(-W/k_BT) is 1e200; the mean is sum(c f) / n and the standard error
+    # sqrt(sum(c (f - mean)^2) / ((n - 1) n)) over the populated atoms
+    kt = thermal_energy(10.0)
+    values = [-kt * math.log(1e200), 0.5 * kt, -0.3 * kt]
+    counts = [0, 1, 3]
+    dist = WorkDistribution(
+        values=np.array(values),
+        mass=np.array(counts),
+        direction=FORWARD,
+        kind=SAMPLED,
+        n_events=4,
+    )
+    result = bk_equality(dist, 10.0)
+    factors = [math.exp(-w / kt) for w in values]
+    n = sum(counts)
+    mean = sum(c * f for c, f in zip(counts, factors)) / n
+    spread = sum(c * (f - mean) ** 2 for c, f in zip(counts, factors) if c)
+    assert factors[0] == pytest.approx(1e200, rel=1e-12)
+    assert result.n_events == n
+    assert result.mean == pytest.approx(mean, rel=1e-12)
+    assert result.stderr == pytest.approx(math.sqrt(spread / ((n - 1) * n)), rel=1e-12)
+
+
 def test_bk_equality_rejects_single_event(ladder, trans_forward):
     dist = WorkDistribution(
         values=np.array([0.0]),
