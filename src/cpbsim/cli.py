@@ -19,7 +19,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -143,18 +146,44 @@ def _jdump(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
+def _check_replaceable(outdir: Path) -> None:
+    """Refuse an existing ``outdir`` unless it holds only a cpbsim manifest
+    and payloads that manifest lists (an empty directory passes too)."""
+    if not os.path.lexists(outdir):
+        return
+    if outdir.is_symlink() or not outdir.is_dir():
+        raise ValueError(f"output directory {outdir} exists and is not a directory")
+    try:
+        doc = json.loads((outdir / "manifest.json").read_bytes())
+        listed = {"manifest.json", *doc["outputs"]} if doc["tool"] == "cpbsim" else ()
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        listed = ()
+    for entry in sorted(outdir.iterdir()):
+        if entry.name not in listed or entry.is_symlink() or not entry.is_file():
+            raise ValueError(
+                f"output directory {outdir} holds {entry.name}, which no cpbsim "
+                "manifest there lists; give another --out or remove it"
+            )
+
+
 class _OutputSet:
     """The run's payloads, their one formatter and the checksummed manifest.
 
     :meth:`write` takes rows for a ``.csv`` name and an object for a
     ``.json`` name. Payloads stay in memory until :meth:`manifest`, which
-    creates the output directory and writes them, so a command that fails
-    part way leaves no files behind.
+    writes them and the manifest into a sibling temporary directory and
+    renames that into place, so a command that fails part way leaves no
+    files behind and the output directory holds exactly the files its
+    manifest names. An existing output directory is replaced only when
+    :func:`_check_replaceable` passes it, checked before the command runs
+    and again before the swap.
     """
 
     def __init__(self, outdir: str) -> None:
-        self.outdir = Path(outdir)
+        # absolute, so that "." and ".." have a name and a parent to stage in
+        self.outdir = Path(os.path.abspath(outdir))
         self.payloads: dict = {}
+        _check_replaceable(self.outdir)
 
     def write(self, name: str, payload) -> None:
         if name in self.payloads:
@@ -163,11 +192,7 @@ class _OutputSet:
         self.payloads[name] = text.encode("utf-8")
 
     def manifest(self, cfg: RunConfig) -> None:
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        checksums = {}
-        for name, data in self.payloads.items():
-            (self.outdir / name).write_bytes(data)
-            checksums[name] = hashlib.sha256(data).hexdigest()
+        checksums = {k: hashlib.sha256(v).hexdigest() for k, v in self.payloads.items()}
         doc = {
             "tool": "cpbsim",
             "version": __version__,
@@ -177,8 +202,27 @@ class _OutputSet:
             "config": cfg.resolved(),
             "outputs": {k: checksums[k] for k in sorted(checksums)},
         }
-        path = self.outdir / "manifest.json"
-        path.write_text(_jdump(doc) + "\n", encoding="utf-8")
+        files = {**self.payloads, "manifest.json": (_jdump(doc) + "\n").encode("utf-8")}
+        _check_replaceable(self.outdir)
+        parent = self.outdir.parent
+        parent.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=f".{self.outdir.name}.", dir=parent))
+        try:
+            # made by mkdir, unlike the stage, so it gets the umask's mode
+            new, old = stage / "new", stage / "old"
+            new.mkdir()
+            for name, data in files.items():
+                (new / name).write_bytes(data)
+            if self.outdir.exists():
+                os.replace(self.outdir, old)
+            try:
+                os.replace(new, self.outdir)
+            except OSError:
+                if old.exists():
+                    os.replace(old, self.outdir)
+                raise
+        finally:
+            shutil.rmtree(stage)
 
 
 def _matrix_rows(matrix: np.ndarray, labels: np.ndarray):
@@ -227,11 +271,15 @@ def cmd_run(cfg: RunConfig, out: _OutputSet) -> int:
     return EXIT_OK
 
 
+def _reversal_pair(cfg: RunConfig, forward) -> list:
+    """Transition matrices of ``forward`` and of its reversal, in that order."""
+    protocols = (forward, reverse_protocol(forward))
+    return [run_protocol(cfg.device, p, cfg.propagator) for p in protocols]
+
+
 def cmd_microrev(cfg: RunConfig, out: _OutputSet) -> int:
     forward = dataclasses.replace(cfg.protocol, direction=FORWARD)
-    backward = reverse_protocol(forward)
-    t_fwd = run_protocol(cfg.device, forward, cfg.propagator)
-    t_bwd = run_protocol(cfg.device, backward, cfg.propagator)
+    t_fwd, t_bwd = _reversal_pair(cfg, forward)
     rep = microrev_deviation(t_fwd, t_bwd, cfg.subspace)
     passed = rep.max_abs <= cfg.microrev_tolerance
     out.write(
@@ -257,7 +305,6 @@ def cmd_microrev(cfg: RunConfig, out: _OutputSet) -> int:
 
 def cmd_gibbs(cfg: RunConfig, out: _OutputSet) -> int:
     forward = dataclasses.replace(cfg.protocol, direction=FORWARD)
-    backward = reverse_protocol(forward)
     ladder = energy_ladder(
         cfg.device, forward, subspace=cfg.subspace, bare=cfg.bare_ladder
     )
@@ -269,24 +316,20 @@ def cmd_gibbs(cfg: RunConfig, out: _OutputSet) -> int:
         if tag in tags[:ti]:
             name = f"work_forward_{tag}.csv"
             raise ValueError(f"two outputs of this run are named {name}")
-    t_fwd = run_protocol(cfg.device, forward, cfg.propagator)
-    t_bwd = run_protocol(cfg.device, backward, cfg.propagator)
+    pair = _reversal_pair(cfg, forward)
+    value_header = "probability" if cfg.mode == EXACT else "count"
     table = []
     for ti, (temperature, weights, tag) in enumerate(
         zip(cfg.temperatures_k, all_weights, tags)
     ):
-        if cfg.mode == EXACT:
-            dist_f = work_distribution_exact(weights, t_fwd, ladder)
-            dist_b = work_distribution_exact(weights, t_bwd, ladder)
-            value_header = "probability"
-        else:
-            dist_f = sample_work(
-                weights, t_fwd, ladder, cfg.events, derive_seed(cfg.seed, ti, 0)
+        dist_f, dist_b = [
+            work_distribution_exact(weights, trans, ladder)
+            if cfg.mode == EXACT
+            else sample_work(
+                weights, trans, ladder, cfg.events, derive_seed(cfg.seed, ti, d)
             )
-            dist_b = sample_work(
-                weights, t_bwd, ladder, cfg.events, derive_seed(cfg.seed, ti, 1)
-            )
-            value_header = "count"
+            for d, trans in enumerate(pair)
+        ]
         for dist, name in ((dist_f, "forward"), (dist_b, "backward")):
             rows = list(zip(dist.values.tolist(), dist.mass.tolist()))
             out.write(f"work_{name}_{tag}.csv", [["W_rad_per_ns", value_header]] + rows)

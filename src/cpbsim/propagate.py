@@ -30,7 +30,7 @@ from ._lapack import eigh, eigvalsh
 from .drive import sample_drive
 from .model import DeviceParams, gauge_tridiagonal
 
-#: Step size (ns) used by the benchmark runs.
+#: Step size (ns) of the CLI's default config.
 DEFAULT_TIME_STEP = 1e-4
 
 #: Largest accepted bound eps * max|E| * (t_stop - t_start), in rad, on the
@@ -122,15 +122,7 @@ def evolve(
         rows = gauge_tridiagonal(
             params, [sample_drive(protocol, t_mid) for t_mid, _ in block]
         )
-        # every level of the block has |E| <= max|diagonal| + 2 max|off|;
-        # Python floats, so that an overflowing sum is inf without a warning
-        scale = float(np.abs(rows[0]).max()) + 2.0 * float(np.abs(rows[1]).max())
-        rounding = _EPS * scale * (t_stop - t_start)
-        if rounding > PHASE_ROUNDING_LIMIT:
-            raise ValueError(
-                f"phase rounding bound {rounding:.3g} rad exceeds "
-                f"{PHASE_ROUNDING_LIMIT:g}: the energy scale is too large to propagate"
-            )
+        _check_phase_rounding(rows[0], rows[1], t_stop - t_start)
         for (_, step), diagonal, off, new_gauge in zip(block, *rows):
             energies, states = _eigh_tridiagonal(diagonal, off)
             w *= (new_gauge.conj() * gauge)[:, None]
@@ -139,6 +131,21 @@ def evolve(
             w = _real_product(states, w)
             gauge = new_gauge
     return gauge[:, None] * w
+
+
+def _check_phase_rounding(diagonals, offs, span: float) -> None:
+    """Refuse tridiagonal forms whose phases over ``span`` ns would carry no
+    correct digit: ``ValueError`` when eps * max|E| * span exceeds
+    :data:`PHASE_ROUNDING_LIMIT`."""
+    # every level has |E| <= max|diagonal| + 2 max|off|; Python floats, so
+    # that an overflowing sum is inf without a warning
+    scale = float(np.abs(diagonals).max()) + 2.0 * float(np.abs(offs).max())
+    rounding = _EPS * scale * span
+    if rounding > PHASE_ROUNDING_LIMIT:
+        raise ValueError(
+            f"phase rounding bound {rounding:.3g} rad exceeds "
+            f"{PHASE_ROUNDING_LIMIT:g}: the energy scale is too large to propagate"
+        )
 
 
 def _eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
@@ -153,13 +160,16 @@ def _eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
     return energies, states
 
 
-def _frozen_eigh(params: DeviceParams, bias):
+def _frozen_eigh(params: DeviceParams, bias, span: float = 0.0):
     """Ascending eigenvalues and eigenvectors D s of H frozen at ``bias``.
 
     Each column's sign is LAPACK's choice, so callers use only |D s|^2 = s^2
-    or products whose global phase drops out.
+    or products whose global phase drops out. A positive ``span`` (ns)
+    first applies :func:`evolve`'s phase-rounding check to this H.
     """
     diagonals, offs, gauges = gauge_tridiagonal(params, [bias])
+    if span > 0.0:
+        _check_phase_rounding(diagonals, offs, span)
     energies, states = _eigh_tridiagonal(diagonals[0], offs[0])
     return energies, gauges[0][:, None] * states
 

@@ -150,7 +150,10 @@ def energy_ladder(
     sensitivity analysis against the tunneling-induced level shifts.
 
     The protocol must be endpoint-closed so that a single frozen operator
-    rules both measurements.
+    rules both measurements. In eigen mode, H(0) must pass
+    :func:`~cpbsim.propagate.evolve`'s phase-rounding check over the
+    protocol's duration (``ValueError``), so that an energy scale too large
+    to propagate is named before its eigenstates are mapped.
     """
     if not _endpoint_closed(protocol):
         raise ValueError("protocol is not endpoint-closed; work needs one H(0)")
@@ -166,7 +169,7 @@ def energy_ladder(
             overlaps=np.ones(labels.size),
             bare=True,
         )
-    levels, states = _frozen_eigh(params, bias)
+    levels, states = _frozen_eigh(params, bias, span=protocol.duration)
     weight = np.abs(states) ** 2
     assigned = np.argmax(weight[rows, :], axis=1)
     overlaps = weight[rows, assigned]

@@ -91,6 +91,58 @@ def test_failed_command_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rerun_leaves_only_its_manifests_files(tmp_path, monkeypatch):
+    # the first run's 1 K payloads must not stay beside the second's manifest;
+    # the second run is made from inside the first's directory, as --out .
+    out = tmp_path / "g"
+    for temperatures, target in (("1,10", str(out)), ("10", ".")):
+        argv = ["gibbs", "--exact", "--dt", "1e-3", "--temperatures", temperatures]
+        assert main(argv + ["--out", target]) == 0
+        monkeypatch.chdir(out)
+    listed = set(_read_json(out / "manifest.json")["outputs"])
+    assert listed == {"work_forward_T10K.csv", "work_backward_T10K.csv",
+                      "bk_ratio_T10K.csv", "bk_table.csv", "bk_report.json"}
+    assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+    assert [p.name for p in tmp_path.iterdir()] == ["g"]
+
+
+def test_failed_payload_write_leaves_nothing(tmp_path, capsys, monkeypatch):
+    writes = []
+    write_bytes = Path.write_bytes
+
+    def failing_second_write(self, data):
+        writes.append(self.name)
+        if len(writes) == 2:
+            raise OSError(28, "No space left on device")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_second_write)
+    out = tmp_path / "o"
+    assert main(["noise", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "cpbsim: [Errno 28] No space left on device\n"
+    assert writes == ["noise_trace.csv", "detector.json"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", ["foreign file", "file", "foreign manifest"])
+def test_out_holding_other_files_is_refused(tmp_path, capsys, existing):
+    # refused before the command runs, and nothing in --out is touched
+    out = tmp_path / "o"
+    if existing == "file":
+        out.write_text("mine\n")
+    else:
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
+        if existing == "foreign manifest":
+            (out / "manifest.json").write_text('{"outputs": {"notes.txt": ""}}\n')
+    before = {p: p.read_bytes() for p in [out, *out.glob("*")] if p.is_file()}
+    assert main(["spectrum", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cpbsim: output directory {out} ")
+    assert {p: p.read_bytes() for p in [out, *out.glob("*")] if p.is_file()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["o"]
+
+
 @pytest.mark.parametrize(
     "temperature, refusal",
     [("1e-3", "label 0 underflows to 0 at 0.001 K"),
@@ -457,7 +509,7 @@ def test_config_stage_numeric_errors_exit_2(tmp_path, capsys, monkeypatch):
 
 
 PHASE_LINE = (
-    "phase rounding bound 1.25e+292 rad exceeds 1e-06: "
+    "phase rounding bound {} rad exceeds 1e-06: "
     "the energy scale is too large to propagate"
 )
 
@@ -478,12 +530,19 @@ PHASE_LINE = (
         ({"josephson_energy_total": 1e308}, ["spectrum"],
          "the spectrum has a non-finite level"),
         # ... and whose step phases have no correct digit
-        ({"josephson_energy_total": 1e308}, ["run", "--exact"], PHASE_LINE),
-        ({"josephson_energy_total": 1e308}, ["run", "--sampled"], PHASE_LINE),
-        ({"josephson_energy_total": 1e308}, ["microrev"], PHASE_LINE),
+        ({"josephson_energy_total": 1e308}, ["run", "--exact"],
+         PHASE_LINE.format("1.25e+292")),
+        ({"josephson_energy_total": 1e308}, ["run", "--sampled"],
+         PHASE_LINE.format("1.25e+292")),
+        ({"josephson_energy_total": 1e308}, ["microrev"], PHASE_LINE.format("1.25e+292")),
+        # gibbs checks H(0) before mapping its eigenstates to charges; at t = 0
+        # the flux sits at 1/2, where only the asymmetry's share of E_J is left
+        ({"josephson_energy_total": 1e308}, ["gibbs", "--exact", "--temperatures", "10"],
+         PHASE_LINE.format("7.4e+290")),
     ],
     ids=["run", "gibbs", "spectrum", "microrev", "spectrum-josephson",
-         "run-josephson", "run-sampled-josephson", "microrev-josephson"],
+         "run-josephson", "run-sampled-josephson", "microrev-josephson",
+         "gibbs-josephson"],
 )
 def test_overflowing_hamiltonian_exits_2(tmp_path, capsys, device, argv, line):
     cfg = _write_config(tmp_path, {"device": device})
@@ -693,7 +752,8 @@ def test_subspace_payload_bytes_are_pinned(tmp_path, argv, subspace, expected):
     assert digests == expected, f"LAPACK and BLAS from {lapack}"
 
 
-def test_run_propagates_once(tmp_path, monkeypatch):
+def _count_propagations(monkeypatch):
+    """The direction of every ``evolve`` call, in call order, as a list."""
     calls = []
     evolve = cpbsim.cli.evolve
 
@@ -703,6 +763,11 @@ def test_run_propagates_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cpbsim.cli, "evolve", counting_evolve)
     monkeypatch.setattr(cpbsim.experiment, "evolve", counting_evolve)
+    return calls
+
+
+def test_run_propagates_once(tmp_path, monkeypatch):
+    calls = _count_propagations(monkeypatch)
     out = tmp_path / "once"
     code = main(
         ["run", "--dt", "1e-3", "--sampled", "--events", "1000", "--out", str(out)]
@@ -710,6 +775,20 @@ def test_run_propagates_once(tmp_path, monkeypatch):
     assert code == 0
     assert (out / "preparation.csv").exists() and (out / "counts.csv").exists()
     assert calls == ["forward"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["microrev"], ["gibbs", "--exact"], ["gibbs", "--sampled", "--events", "2000"]],
+    ids=["microrev", "gibbs-exact", "gibbs-sampled"],
+)
+def test_reversal_commands_propagate_each_direction_once(tmp_path, monkeypatch, argv):
+    # two temperatures, so that a propagation per temperature would show
+    calls = _count_propagations(monkeypatch)
+    out = tmp_path / "pair"
+    flags = ["--dt", "1e-3", "--temperatures", "10,50", "--out", str(out)]
+    assert main(argv + flags) == 0
+    assert calls == ["forward", "backward"]
 
 
 def test_run_backward_skips_preparation(tmp_path):
