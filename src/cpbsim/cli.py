@@ -23,6 +23,7 @@ import os
 import shutil
 import sys
 import tempfile
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -166,6 +167,24 @@ def _check_replaceable(outdir: Path) -> None:
             )
 
 
+@contextmanager
+def _missing_parents(path: Path):
+    """Make the missing ancestors of ``path`` for the block, and remove them
+    again, deepest first, when the block fails. ``os.rmdir`` refuses a
+    directory that is no longer empty, so nothing written there is lost."""
+    made = []
+    try:
+        for parent in reversed([p for p in path.parents if not p.exists()]):
+            parent.mkdir()
+            made.append(parent)
+        yield
+    except BaseException:
+        for parent in reversed(made):
+            with suppress(OSError):
+                os.rmdir(parent)
+        raise
+
+
 class _OutputSet:
     """The run's payloads, their one formatter and the checksummed manifest.
 
@@ -204,25 +223,26 @@ class _OutputSet:
         }
         files = {**self.payloads, "manifest.json": (_jdump(doc) + "\n").encode("utf-8")}
         _check_replaceable(self.outdir)
-        parent = self.outdir.parent
-        parent.mkdir(parents=True, exist_ok=True)
-        stage = Path(tempfile.mkdtemp(prefix=f".{self.outdir.name}.", dir=parent))
-        try:
-            # made by mkdir, unlike the stage, so it gets the umask's mode
-            new, old = stage / "new", stage / "old"
-            new.mkdir()
-            for name, data in files.items():
-                (new / name).write_bytes(data)
-            if self.outdir.exists():
-                os.replace(self.outdir, old)
+        with _missing_parents(self.outdir):
+            stage = Path(
+                tempfile.mkdtemp(prefix=f".{self.outdir.name}.", dir=self.outdir.parent)
+            )
             try:
-                os.replace(new, self.outdir)
-            except OSError:
-                if old.exists():
-                    os.replace(old, self.outdir)
-                raise
-        finally:
-            shutil.rmtree(stage)
+                # made by mkdir, unlike the stage, so it gets the umask's mode
+                new, old = stage / "new", stage / "old"
+                new.mkdir()
+                for name, data in files.items():
+                    (new / name).write_bytes(data)
+                if self.outdir.exists():
+                    os.replace(self.outdir, old)
+                try:
+                    os.replace(new, self.outdir)
+                except OSError:
+                    if old.exists():
+                        os.replace(old, self.outdir)
+                    raise
+            finally:
+                shutil.rmtree(stage)
 
 
 def _matrix_rows(matrix: np.ndarray, labels: np.ndarray):

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drive import BACKWARD, FORWARD, sample_drive
+from .drive import BACKWARD, FORWARD
 from .model import DEFAULT_SUBSPACE, DeviceParams, charge_labels, label_rows
 from .propagate import PropagatorConfig, _frozen_eigh, evolve
 
-#: Partition length for seeded event streams; sampling is reproducible for a
-#: fixed seed no matter how partitions are distributed over workers.
+#: Partition length for seeded event streams. Partition k always draws from
+#: its own generator spawned from the seed, so the size is part of which
+#: events a fixed seed produces.
 EVENT_PARTITION = 250_000
 
 
@@ -118,11 +119,12 @@ def prepare_ensemble(
     states, which is what makes a multi-state thermal ensemble emulatable.
     ``u`` is the protocol's full-window propagator from :func:`evolve`, so
     callers that also need the transition matrix propagate once. Forward
-    protocols only.
+    protocols only. H(0) must pass :func:`evolve`'s phase-rounding check
+    over the protocol's duration (``ValueError``).
     """
     if protocol.direction != FORWARD:
         raise ValueError("preparation is defined for forward protocols")
-    ground = _frozen_eigh(params, sample_drive(protocol, 0.0))[1][:, 0]
+    ground = _frozen_eigh(params, protocol)[1][:, 0]
     probabilities = np.abs(u @ ground) ** 2
     labels = charge_labels(params)
     rows = label_rows(labels, subspace)

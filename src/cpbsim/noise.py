@@ -120,41 +120,7 @@ def dephasing_ratio(
     eigenvector, so none is pinned. A LAPACK failure raises
     ``numpy.linalg.LinAlgError``.
     """
-    n_values = _charge_values(params, t_bath, k)
-    diagonals, offs, _ = gauge_tridiagonal(params, [bias])
-    return _ratio_point(params, bias, diagonals[0], offs[0], n_values, t_bath, k, time)
-
-
-def _charge_values(params, t_bath, k):
-    """The float charge labels, once ``t_bath`` and ``k`` are checked."""
-    if not t_bath > 0:
-        raise ValueError("bath temperature must be positive")
-    if not 0 <= k < params.n_charges - 1:
-        raise ValueError("level index k+1 outside the basis")
-    return charge_labels(params).astype(float)
-
-
-def _ratio_point(params, bias, diagonal, off, n_values, t_bath, k, time):
-    """:func:`dephasing_ratio` from the tridiagonal form of ``bias``."""
-    energies, states = level_pair(diagonal, off, k)
-    elements = states.T @ (n_values[:, None] * states)
-    off_element = elements[0, 1] ** 2
-    diag = elements[0, 0] - elements[1, 1]
-    gap = energies[1] - energies[0]
-    x = gap / (2.0 * KB_OVER_HBAR * t_bath)
-    thermal = x / math.tanh(x) if x > 0.0 else 1.0
-    denom = diag * diag
-    if denom < 1e-24:
-        ratio = math.inf
-    else:
-        ratio = 4.0 * off_element / denom * thermal
-    return DephasingRatioPoint(
-        time=time,
-        level=k,
-        tphi_over_t1=ratio,
-        t2_over_t1=_t2_from_tphi(ratio),
-        beta=beta_ratio(params, bias.flux),
-    )
+    return _ratio_points(params, [bias], [time], t_bath, k)[0]
 
 
 def ratio_trace(
@@ -166,19 +132,45 @@ def ratio_trace(
 ):
     """Sample the dephasing ratio at n_samples uniform instants.
 
-    The tridiagonal forms of all instants are assembled at once; each
-    instant then solves its level pair as :func:`dephasing_ratio` does.
+    Each point is :func:`dephasing_ratio` at that instant's bias and time.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    n_values = _charge_values(params, t_bath, k)
-    times = np.linspace(0.0, protocol.duration, n_samples)
-    biases = [sample_drive(protocol, float(t)) for t in times]
+    times = np.linspace(0.0, protocol.duration, n_samples).tolist()
+    biases = [sample_drive(protocol, t) for t in times]
+    return _ratio_points(params, biases, times, t_bath, k)
+
+
+def _ratio_points(params, biases, times, t_bath, k):
+    """:func:`dephasing_ratio` at each (bias, time), from one assembly of
+    their tridiagonal forms."""
+    if not t_bath > 0:
+        raise ValueError("bath temperature must be positive")
+    if not 0 <= k < params.n_charges - 1:
+        raise ValueError("level index k+1 outside the basis")
+    n_values = charge_labels(params).astype(float)
     diagonals, offs, _ = gauge_tridiagonal(params, biases)
-    return [
-        _ratio_point(params, bias, diagonal, off, n_values, t_bath, k, float(t))
-        for t, bias, diagonal, off in zip(times, biases, diagonals, offs)
-    ]
+    points = []
+    for bias, time, diagonal, off in zip(biases, times, diagonals, offs):
+        energies, states = level_pair(diagonal, off, k)
+        elements = states.T @ (n_values[:, None] * states)
+        off_element = elements[0, 1] ** 2
+        diag = elements[0, 0] - elements[1, 1]
+        gap = energies[1] - energies[0]
+        x = gap / (2.0 * KB_OVER_HBAR * t_bath)
+        thermal = x / math.tanh(x) if x > 0.0 else 1.0
+        denom = diag * diag
+        ratio = math.inf if denom < 1e-24 else 4.0 * off_element / denom * thermal
+        points.append(
+            DephasingRatioPoint(
+                time=time,
+                level=k,
+                tphi_over_t1=ratio,
+                t2_over_t1=_t2_from_tphi(ratio),
+                beta=beta_ratio(params, bias.flux),
+            )
+        )
+    return points
 
 
 def window_width(points, lower: float, upper: float) -> float:

@@ -160,16 +160,16 @@ def _eigh_tridiagonal(diagonal: np.ndarray, off: np.ndarray):
     return energies, states
 
 
-def _frozen_eigh(params: DeviceParams, bias, span: float = 0.0):
-    """Ascending eigenvalues and eigenvectors D s of H frozen at ``bias``.
+def _frozen_eigh(params: DeviceParams, protocol):
+    """Ascending eigenvalues and eigenvectors D s of H(0), the Hamiltonian
+    frozen at the start of ``protocol``.
 
     Each column's sign is LAPACK's choice, so callers use only |D s|^2 = s^2
-    or products whose global phase drops out. A positive ``span`` (ns)
-    first applies :func:`evolve`'s phase-rounding check to this H.
+    or products whose global phase drops out. H(0) must first pass
+    :func:`evolve`'s phase-rounding check over the protocol's duration.
     """
-    diagonals, offs, gauges = gauge_tridiagonal(params, [bias])
-    if span > 0.0:
-        _check_phase_rounding(diagonals, offs, span)
+    diagonals, offs, gauges = gauge_tridiagonal(params, [sample_drive(protocol, 0.0)])
+    _check_phase_rounding(diagonals, offs, protocol.duration)
     energies, states = _eigh_tridiagonal(diagonals[0], offs[0])
     return energies, gauges[0][:, None] * states
 

@@ -23,6 +23,7 @@ from .model import (
     KB_OVER_HBAR,
     DeviceParams,
     charge_labels,
+    gauge_tridiagonal,
     label_rows,
 )
 from .propagate import _frozen_eigh
@@ -146,30 +147,31 @@ def energy_ladder(
     Eigen mode (default) takes the eigenenergy of the H(0) eigenstate with
     maximum overlap on each charge state and demands that the assignment be
     a clean bijection (every overlap above ``MIN_OVERLAP``). Bare mode takes
-    the charging parabola 4*E_C*(n - n_g(0))^2 instead; it exists for
+    H(0)'s diagonal, the charging parabola 4*E_C*(n - n_g(0))^2 of
+    :func:`~cpbsim.model.gauge_tridiagonal`, instead; it exists for
     sensitivity analysis against the tunneling-induced level shifts.
 
     The protocol must be endpoint-closed so that a single frozen operator
     rules both measurements. In eigen mode, H(0) must pass
     :func:`~cpbsim.propagate.evolve`'s phase-rounding check over the
     protocol's duration (``ValueError``), so that an energy scale too large
-    to propagate is named before its eigenstates are mapped.
+    to propagate is named before its eigenstates are mapped. Either mode
+    raises ``FloatingPointError`` when H(0) has a non-finite entry.
     """
     if not _endpoint_closed(protocol):
         raise ValueError("protocol is not endpoint-closed; work needs one H(0)")
     full = charge_labels(params)
     rows = label_rows(full, subspace)
     labels = full[rows]
-    bias = sample_drive(protocol, 0.0)
     if bare:
-        energies = 4.0 * params.charging_energy * (labels - bias.gate_charge) ** 2
+        diagonals = gauge_tridiagonal(params, [sample_drive(protocol, 0.0)])[0]
         return EnergyLadder(
             labels=labels,
-            energies=energies.astype(float),
+            energies=diagonals[0][rows],
             overlaps=np.ones(labels.size),
             bare=True,
         )
-    levels, states = _frozen_eigh(params, bias, span=protocol.duration)
+    levels, states = _frozen_eigh(params, protocol)
     weight = np.abs(states) ** 2
     assigned = np.argmax(weight[rows, :], axis=1)
     overlaps = weight[rows, assigned]

@@ -106,7 +106,10 @@ def test_rerun_leaves_only_its_manifests_files(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["g"]
 
 
-def test_failed_payload_write_leaves_nothing(tmp_path, capsys, monkeypatch):
+# under nest/a/o the missing parents nest and nest/a are made for the run and
+# removed again when it fails
+@pytest.mark.parametrize("name", ["o", "nest/a/o"])
+def test_failed_payload_write_leaves_nothing(tmp_path, capsys, monkeypatch, name):
     writes = []
     write_bytes = Path.write_bytes
 
@@ -117,7 +120,7 @@ def test_failed_payload_write_leaves_nothing(tmp_path, capsys, monkeypatch):
         return write_bytes(self, data)
 
     monkeypatch.setattr(Path, "write_bytes", failing_second_write)
-    out = tmp_path / "o"
+    out = tmp_path / name
     assert main(["noise", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "cpbsim: [Errno 28] No space left on device\n"
     assert writes == ["noise_trace.csv", "detector.json"]
@@ -513,39 +516,46 @@ PHASE_LINE = (
     "the energy scale is too large to propagate"
 )
 
+HUGE_EC = {"device": {"charging_energy": 1e308}}
+HUGE_EJ = {"device": {"josephson_energy_total": 1e308}}
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "device, argv, line",
+    "config, argv, line",
     [
-        ({"charging_energy": 1e308}, ["run", "--exact"],
+        (HUGE_EC, ["run", "--exact"],
          "the Hamiltonian has a non-finite entry"),
-        ({"charging_energy": 1e308}, ["gibbs", "--exact", "--temperatures", "10"],
+        (HUGE_EC, ["gibbs", "--exact", "--temperatures", "10"],
          "the Hamiltonian has a non-finite entry"),
-        ({"charging_energy": 1e308}, ["spectrum"],
+        # bare mode reads the charging parabola off the same H(0)
+        ({**HUGE_EC, "bare_ladder": True},
+         ["gibbs", "--exact", "--temperatures", "10"],
          "the Hamiltonian has a non-finite entry"),
-        ({"charging_energy": 1e308}, ["microrev"],
+        (HUGE_EC, ["spectrum"],
+         "the Hamiltonian has a non-finite entry"),
+        (HUGE_EC, ["microrev"],
          "the Hamiltonian has a non-finite entry"),
         # finite entries whose levels span more than the float range
-        ({"josephson_energy_total": 1e308}, ["spectrum"],
+        (HUGE_EJ, ["spectrum"],
          "the spectrum has a non-finite level"),
         # ... and whose step phases have no correct digit
-        ({"josephson_energy_total": 1e308}, ["run", "--exact"],
+        (HUGE_EJ, ["run", "--exact"],
          PHASE_LINE.format("1.25e+292")),
-        ({"josephson_energy_total": 1e308}, ["run", "--sampled"],
+        (HUGE_EJ, ["run", "--sampled"],
          PHASE_LINE.format("1.25e+292")),
-        ({"josephson_energy_total": 1e308}, ["microrev"], PHASE_LINE.format("1.25e+292")),
+        (HUGE_EJ, ["microrev"], PHASE_LINE.format("1.25e+292")),
         # gibbs checks H(0) before mapping its eigenstates to charges; at t = 0
         # the flux sits at 1/2, where only the asymmetry's share of E_J is left
-        ({"josephson_energy_total": 1e308}, ["gibbs", "--exact", "--temperatures", "10"],
+        (HUGE_EJ, ["gibbs", "--exact", "--temperatures", "10"],
          PHASE_LINE.format("7.4e+290")),
     ],
-    ids=["run", "gibbs", "spectrum", "microrev", "spectrum-josephson",
+    ids=["run", "gibbs", "gibbs-bare", "spectrum", "microrev", "spectrum-josephson",
          "run-josephson", "run-sampled-josephson", "microrev-josephson",
          "gibbs-josephson"],
 )
-def test_overflowing_hamiltonian_exits_2(tmp_path, capsys, device, argv, line):
-    cfg = _write_config(tmp_path, {"device": device})
+def test_overflowing_hamiltonian_exits_2(tmp_path, capsys, config, argv, line):
+    cfg = _write_config(tmp_path, config)
     out = tmp_path / "o"
     assert main(argv + ["--dt", "1e-3", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cpbsim: {line}\n"

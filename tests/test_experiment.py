@@ -122,6 +122,15 @@ def test_preparation_matches_fine_step_reference(preparation):
     assert preparation.subspace_mass == pytest.approx(SUBSPACE_MASS, abs=2e-5)
 
 
+def test_preparation_refuses_an_unresolvable_energy_scale(protocol):
+    # the ground state comes from the same checked H(0) solve as the energy
+    # ladder: at t = 0 the flux is 1/2, where the asymmetry's share of E_J
+    # leaves a bound of 7.4e+290 rad, and U is never reached
+    params = DeviceParams(josephson_energy_total=1e308)
+    with pytest.raises(ValueError, match=r"^phase rounding bound 7\.4e\+290 rad exceeds"):
+        prepare_ensemble(params, protocol, np.eye(params.n_charges))
+
+
 def test_preparation_rejects_backward(params, backward_protocol, u_backward):
     with pytest.raises(ValueError):
         prepare_ensemble(params, backward_protocol, u_backward)

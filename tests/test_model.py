@@ -13,12 +13,12 @@ from cpbsim import (
     RunConfig,
     beta_ratio,
     charge_labels,
+    dephasing_ratio,
     josephson_energy,
     label_rows,
     thermal_energy,
 )
 from cpbsim.model import gauge_tridiagonal
-from cpbsim.noise import _charge_values
 
 from _dense import build_hamiltonian, eigensystem, hermiticity_defect
 
@@ -97,7 +97,7 @@ SIGN_CHECKS = {
     "coupling_capacitance": (lambda v: DetectorParams(coupling_capacitance=v),
                              "coupling capacitance must be non-negative"),
     "thermal_energy": (thermal_energy, "temperature must be positive"),
-    "t_bath": (lambda v: _charge_values(DeviceParams(), v, 0),
+    "t_bath": (lambda v: dephasing_ratio(DeviceParams(), BIAS, t_bath=v),
                "bath temperature must be positive"),
     "temperatures_k": (lambda v: RunConfig(temperatures_k=(1.0, v)),
                        "temperatures_k entries must be positive"),

@@ -20,6 +20,7 @@ from cpbsim import (
     detector_distinguishability,
     kolmogorov_distance_quadrature,
     ratio_trace,
+    sample_drive,
     window_width,
 )
 from cpbsim import noise
@@ -75,6 +76,17 @@ def test_ratio_trace_covers_protocol(params, protocol):
     assert all(p.t2_over_t1 >= 0.0 for p in points)
     with pytest.raises(ValueError):
         ratio_trace(params, protocol, n_samples=1)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_trace_points_are_dephasing_ratios(params, protocol, k):
+    # one flow for both: each trace point is dephasing_ratio at its instant's
+    # bias and time, with every field equal
+    points = ratio_trace(params, protocol, n_samples=67, k=k)
+    times = np.linspace(0.0, protocol.duration, 67).tolist()
+    assert [p.time for p in points] == times
+    for point, t in zip(points, times):
+        assert point == dephasing_ratio(params, sample_drive(protocol, t), k=k, time=t)
 
 
 def test_dephasing_ratio_validation(params):

@@ -165,6 +165,15 @@ def test_random_protocols_are_doubly_stochastic_and_microreversible(case):
     assert coarse < 1e-12 or coarse / fine >= 3.0
 
 
+def _case(params, protocol, case):
+    """The default device and drive at dt 1e-3, or a seeded random case."""
+    return (params, protocol, COARSE) if case == "default" else _random_case(case)
+
+
+def _offset(wave, shift):
+    return dataclasses.replace(wave, offset=wave.offset + shift)
+
+
 def _charge_conjugate(protocol):
     """The drive with offset and amplitude of both waveforms negated."""
     def negated(wave):
@@ -182,22 +191,72 @@ def test_charge_conjugation_leaves_u_unchanged(params, protocol, case):
     # U is unchanged with its labels reversed. Measured at these steps:
     # max|dU| 4.1e-13 and max|dP| 2.0e-14 on the default device at dt 1e-3,
     # at most 5.9e-15 and 1.2e-14 on the seeded cases
-    if case == "default":
-        device, forward, config = params, protocol, COARSE
-    else:
-        device, forward, config = _random_case(case)
+    device, forward, config = _case(params, protocol, case)
     u = evolve(device, forward, config)
     mirrored = evolve(device, _charge_conjugate(forward), config)[::-1, ::-1]
     assert np.max(np.abs(mirrored - u)) < 2e-12
     assert np.max(np.abs(np.abs(mirrored) ** 2 - np.abs(u) ** 2)) < 1e-13
 
 
+@pytest.mark.parametrize("case", ["default", *range(6)])
+def test_flux_period_leaves_u_unchanged(params, protocol, case):
+    # E_J is periodic in the flux with period 2 flux quanta. Measured:
+    # max|dU| 1.79e-14 on the default device, at most 1.53e-14 on the
+    # seeded cases
+    device, forward, config = _case(params, protocol, case)
+    u = evolve(device, forward, config)
+    shifted = dataclasses.replace(forward, flux=_offset(forward.flux, 2.0))
+    assert np.max(np.abs(evolve(device, shifted, config) - u)) < 1e-13
+
+
+# the N = 11 cases are truncation-limited (case 5 reads 4.3e-3 however many
+# edge labels are left out), so only N = 15 cases are seeded here
+@pytest.mark.parametrize(
+    "case", ["default", *(c for c in range(6) if _random_case(c)[0].n_charges == 15)]
+)
+def test_gate_period_shifts_labels_by_one(params, protocol, case):
+    # n_g -> n_g + 1 turns the charging term of label n into that of n - 1,
+    # so P[m, n] at the shifted gate is P[m - 1, n - 1] away from the basis
+    # edges, where the truncation differs. Of the N - 1 shifted label
+    # pairs, 3 (N = 51) or 5 (N = 15) are left out at each edge. Measured:
+    # max|dP| 3.09e-14 on the default device, at most 1.59e-14 on the
+    # seeded cases
+    device, forward, config = _case(params, protocol, case)
+    n = device.n_charges
+    edge = 3 if n == 51 else 5
+    p = np.abs(evolve(device, forward, config)) ** 2
+    shifted = dataclasses.replace(forward, gate=_offset(forward.gate, 1.0))
+    p_shifted = np.abs(evolve(device, shifted, config)) ** 2
+    rows = slice(edge, n - 1 - edge)
+    moved = slice(edge + 1, n - edge)
+    assert np.max(np.abs(p_shifted[moved, moved] - p[rows, rows])) < 1.5e-13
+
+
+@pytest.mark.parametrize("case", ["default", *range(6)])
+def test_symmetric_junctions_need_no_flux_inversion(params, protocol, case):
+    # at asymmetry 0 E_J is real and even in the flux, so the backward
+    # protocol without flux inversion gives the proper backward P, and the
+    # no-inversion control deviates from P_F = P_B^T only as much as the
+    # proper reversal does (3.86e-8 on the default device). Measured:
+    # max|dP_B| 0.0 on the default device, at most 4.1e-15 on the seeded
+    # cases
+    device, forward, config = _case(params, protocol, case)
+    device = dataclasses.replace(device, asymmetry=0.0)
+    backward = reverse_protocol(forward)
+    control = dataclasses.replace(backward, invert_flux=False)
+    p_forward = np.abs(evolve(device, forward, config)) ** 2
+    p_backward = np.abs(evolve(device, backward, config)) ** 2
+    p_control = np.abs(evolve(device, control, config)) ** 2
+    assert np.max(np.abs(p_control - p_backward)) < 2e-14
+    proper = np.max(np.abs(p_forward - p_backward.T))
+    assert abs(np.max(np.abs(p_forward - p_control.T)) - proper) < 2e-14
+
 def _assert_frozen_eigh_matches_dense_route(params, protocol, u):
     """The H(0) solve against the dense route: energies, the ladder's
     label-to-eigenstate assignment, the ground state and the preparation
     built on it. Returns the energies and the dense eigensystem."""
     bias = sample_drive(protocol, 0.0)
-    energies, states = propagate._frozen_eigh(params, bias)
+    energies, states = propagate._frozen_eigh(params, protocol)
     dense = eigensystem(build_hamiltonian(params, bias))
     scale = float(np.max(np.abs(dense.energies)))
     np.testing.assert_allclose(energies, dense.energies, rtol=1e-12, atol=1e-12 * scale)

@@ -1,0 +1,155 @@
+"""Check that the working tree writes the same payload bytes as a commit.
+
+    python tools/same_bytes.py --against REV
+
+Runs a fixed matrix of cpbsim commands on the working tree and on REV and
+compares the sha256 of every payload that each command's ``manifest.json``
+lists under ``outputs``. REV is checked out with ``git worktree add
+--detach`` into a temporary directory, which is removed afterwards. Each
+tree runs all commands in one fresh interpreter that imports cpbsim from
+the tree's own ``src``, with ``OPENBLAS_NUM_THREADS=1`` and no bytecode
+written. The matrix: ``spectrum``, ``noise``, ``run --exact``, ``run
+--sampled --dt 1e-3`` at 400000, 250017 and 65537 events, ``microrev --dt
+1e-3``, ``gibbs --exact --dt 1e-3`` and ``gibbs --sampled --dt 1e-3`` at the
+default events and at 250017, each at seeds 1 and 20261019, plus ``gibbs
+--exact --dt 1e-3`` with ``{"bare_ladder": true}``.
+
+Prints one line per payload whose digest differs. Exit status: 0 when every
+command's outputs are equal, 1 on a difference, 2 when a command or a
+checkout fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SEEDS = (1, 20261019)
+COMMANDS = (
+    ["spectrum"],
+    ["noise"],
+    ["run", "--exact"],
+    *(["run", "--sampled", "--dt", "1e-3", "--events", n] for n in ("400000", "250017", "65537")),
+    ["microrev", "--dt", "1e-3"],
+    ["gibbs", "--exact", "--dt", "1e-3"],
+    ["gibbs", "--sampled", "--dt", "1e-3"],
+    ["gibbs", "--sampled", "--dt", "1e-3", "--events", "250017"],
+)
+
+# Runs in the tree's interpreter: argv[1] is a JSON list of [label, argv,
+# out]; prints {label: [exit code, manifest outputs or None]} and where
+# cpbsim was imported from.
+CHILD = """
+import json, sys
+import cpbsim
+from cpbsim.cli import main
+results = {}
+for label, argv, out in json.loads(sys.argv[1]):
+    code = main(argv + ["--out", out])
+    outputs = None
+    if code == 0:
+        with open(out + "/manifest.json", encoding="utf-8") as fh:
+            outputs = json.load(fh)["outputs"]
+    results[label] = [code, outputs]
+print(json.dumps({"cpbsim": cpbsim.__file__, "results": results}))
+"""
+
+
+def matrix(bare_config: Path):
+    """(label, argv) of every command, in run order."""
+    runs = [
+        [f"seed {seed}: {' '.join(argv)}", [*argv, "--seed", str(seed)]]
+        for seed in SEEDS
+        for argv in COMMANDS
+    ]
+    bare = ["gibbs", "--exact", "--dt", "1e-3", "--config", str(bare_config)]
+    runs.append(["bare ladder: gibbs --exact --dt 1e-3", bare])
+    return runs
+
+
+def run_tree(tree: Path, runs, workdir: Path):
+    """{label: (exit code, outputs)} of every run on ``tree``, written under
+    ``workdir``, or None with the reason printed when the interpreter fails."""
+    workdir.mkdir()
+    jobs = [[label, argv, str(workdir / str(i))] for i, (label, argv) in enumerate(runs)]
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(tree / "src"),
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(jobs)],
+        cwd=workdir, env=env, stdout=subprocess.PIPE, text=True,
+    )
+    if proc.returncode != 0:
+        print(f"same_bytes: the interpreter for {tree} exited {proc.returncode}")
+        return None
+    report = json.loads(proc.stdout)
+    if not Path(report["cpbsim"]).resolve().is_relative_to((tree / "src").resolve()):
+        print(f"same_bytes: {tree} imported cpbsim from {report['cpbsim']}")
+        return None
+    print(f"{tree}: {len(runs)} commands in {time.perf_counter() - start:.1f} s")
+    return report["results"]
+
+
+def compare(runs, here, there, rev: str) -> int:
+    failed = differ = 0
+    for label, _argv in runs:
+        (code_here, out_here), (code_there, out_there) = here[label], there[label]
+        if code_here or code_there:
+            print(f"FAILED {label}: exit {code_here} here, {code_there} at {rev}")
+            failed += 1
+            continue
+        names = sorted(set(out_here) | set(out_there))
+        changed = [n for n in names if out_here.get(n) != out_there.get(n)]
+        for name in changed:
+            print(f"DIFFERS {label}: {name}")
+        differ += bool(changed)
+    print(f"{len(runs)} commands against {rev}: {differ} differ, {failed} failed")
+    return 2 if failed else 1 if differ else 0
+
+
+def git(*args) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], check=True, stdout=subprocess.PIPE, text=True
+    ).stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REV", help="commit to compare with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="same_bytes.") as tmp:
+        tmp = Path(tmp)
+        bare_config = tmp / "bare.json"
+        bare_config.write_text('{"bare_ladder": true}\n', encoding="utf-8")
+        runs = matrix(bare_config)
+        checkout = tmp / "rev"
+        try:
+            rev = git("rev-parse", "--short", f"{args.against}^{{commit}}")
+            git("worktree", "add", "--detach", "--quiet", str(checkout), rev)
+        except subprocess.CalledProcessError as exc:
+            print(f"same_bytes: cannot check out {args.against}: {exc}")
+            return 2
+        try:
+            here = run_tree(ROOT, runs, tmp / "here")
+            there = None if here is None else run_tree(checkout, runs, tmp / "there")
+        finally:
+            git("worktree", "remove", "--force", str(checkout))
+    if here is None or there is None:
+        return 2
+    return compare(runs, here, there, rev)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
