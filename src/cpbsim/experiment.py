@@ -189,43 +189,59 @@ def _cdf(p: np.ndarray) -> np.ndarray:
 def _count_below(
     x: np.ndarray, thresholds: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
-    """``#{x < t}`` for each of the ascending ``thresholds`` t.
+    """``#{x < t}`` for uniforms ``x`` in [0, 1) and ascending ``thresholds`` t.
 
-    Thresholds at or below ``min(x)`` count 0 without a pass; every other
-    one takes a comparison pass, which writes into ``mask[:x.size]``, so
-    counting allocates no temporary the size of ``x``.
+    This is the one place that decides which thresholds are compared: one
+    at or below ``min(x)`` counts 0 and one at or above 1.0 counts
+    ``x.size``, both without a pass. That covers a table's 0.0 and 1.0
+    bounds, entries that round to 1.0, and entries too small for any
+    uniform of the slice. Every other threshold takes a comparison pass,
+    which writes into ``mask[:x.size]``, so counting allocates no temporary
+    the size of ``x``.
     """
     out = mask[: x.size]
-    counts = np.zeros(thresholds.size, dtype=np.int64)
+    counts = np.full(thresholds.size, x.size, dtype=np.int64)
     start = thresholds.searchsorted(x.min(), side="right")
-    counts[start:] = [np.count_nonzero(np.less(x, t, out=out)) for t in thresholds[start:]]
+    stop = thresholds.searchsorted(1.0)
+    counts[:start] = 0
+    counts[start:stop] = [np.count_nonzero(np.less(x, t, out=out)) for t in thresholds[start:stop]]
     return counts
 
 
 def _column_table(column: np.ndarray, rows: np.ndarray):
     """Comparison thresholds of one second-label table and their index maps.
 
-    Returns ``(needed, upper, lower)``. With ``below = [0, #{x < needed[0]},
-    ..., #{x < needed[-1]}, x.size]``, outcome ``rows[k]`` is hit by
-    ``below[upper[k]] - below[lower[k]]`` uniforms: the bounds ``cdf[rows[k]]``
-    and ``cdf[rows[k] - 1]`` (0 below the first outcome). Each distinct bound
-    strictly inside (0, 1) is compared once; a bound at 0.0 lies below every
-    uniform and one at 1.0 above it, so those take the counts 0 and
-    ``x.size`` without a pass.
+    Returns ``(thresholds, upper, lower)``: the distinct bounds of the
+    outcomes ``rows``, ascending, and for outcome ``rows[k]`` the indices of
+    its bounds ``cdf[rows[k]]`` and ``cdf[rows[k] - 1]`` (0.0 below the first
+    outcome) among them. With ``below = _count_below(x, thresholds, mask)``,
+    outcome ``rows[k]`` is hit by ``below[upper[k]] - below[lower[k]]``
+    uniforms of ``x``.
     """
     bounds = np.concatenate(([0.0], _cdf(column)))
     ends = np.concatenate((bounds[rows], bounds[rows + 1]))
-    needed = np.unique(ends[(ends > 0.0) & (ends < 1.0)])
-    edges = np.concatenate(([0.0], needed, [1.0]))
-    upper = edges.searchsorted(bounds[rows + 1])
-    lower = edges.searchsorted(bounds[rows])
-    return needed, upper, lower
+    thresholds, index = np.unique(ends, return_inverse=True)
+    return thresholds, index[rows.size :], index[: rows.size]
 
 
 #: Uniforms drawn per ``Generator.random`` call of the two-point samplers:
 #: 512 kB of float64, which fits a 2 MB L2 cache. The block size changes no
 #: count and no generator state, only the scratch memory.
 _DRAW_BLOCK = 1 << 16
+
+
+def _count_run(rng, length, thresholds, block, mask):
+    """``#{x < t}`` over the next ``length`` uniforms x of ``rng``.
+
+    The run is read into ``block`` a block at a time with
+    ``rng.random(out=...)``, which reads the stream as one
+    ``rng.random(length)`` call would; counts add exactly over the blocks.
+    """
+    counts = np.zeros(thresholds.size, dtype=np.int64)
+    for lo in range(0, length, block.size):
+        x = rng.random(out=block[: min(block.size, length - lo)])
+        counts += _count_below(x, thresholds, mask)
+    return counts
 
 
 def _pair_counts(partitions, initial_probs, columns, rows):
@@ -240,59 +256,33 @@ def _pair_counts(partitions, initial_probs, columns, rows):
     Stream contract: for each partition, the counts and the generator's
     final state equal those of ``first = rng.choice(n, size,
     p=initial_probs)`` followed by one ``rng.choice(m, hits_j, p=columns[:,
-    j])`` per initial index j with hits, in increasing j. That is a run
-    ``u`` of ``size`` uniforms for the first indices, then a run ``v`` of
-    ``size`` uniforms consumed label by label. No per-event label array is
-    built: outcome k of a table c is hit by #{x < c[k]} - #{x < c[k-1]}
-    uniforms, exact integer arithmetic on comparison counts, and those
-    counts add exactly over sub-slices.
+    j])`` per initial index j with hits, in increasing j. That is one run of
+    ``size`` uniforms for the first indices, then one run of ``hits_j``
+    uniforms per label j, each read a block at a time by
+    :func:`_count_run`. No per-event label array is built: outcome k of a
+    table c is hit by #{x < c[k]} - #{x < c[k-1]} uniforms, exact integer
+    arithmetic on comparison counts, which :func:`_count_below` makes.
 
     Block contract: one call allocates one draw block of ``_DRAW_BLOCK``
     floats and one boolean mask of the same length, whatever the event
     count or the partition sizes (pages that short partitions never write
     cost no resident memory), and the block size changes no count. A
-    partition reads ``u`` block by block with
-    ``rng.random(out=block[:k])`` and sums the first-label counts; it then
-    reads ``v`` block by block, walks the hit labels in increasing j, and
-    splits a label's run where a block ends. The stream is read in the
-    order two ``rng.random(size)`` calls read it, and every comparison pass
-    writes into the mask. Entries of the first-label table that equal 1.0
-    lie above every uniform, so they get no pass: the last entry, which
-    :func:`_cdf` normalises to exactly 1.0, and any entries before it that
-    round to 1.0. Nor does any threshold at or below the smallest uniform
-    of the slice it counts (see :func:`_count_below`). A column's table is
-    built on its first hit, so, as with ``choice``, a column that no event
-    reaches is never checked.
+    column's table is built on its first hit, so, as with ``choice``, a
+    column that no event reaches is never checked.
     """
     cdf = _cdf(initial_probs)
-    first = cdf[cdf < 1.0]  # a prefix: the table is non-decreasing
     block = np.empty(_DRAW_BLOCK)
     mask = np.empty(block.size, dtype=bool)
     tables = {}
     counts = np.zeros((initial_probs.size, rows.size), dtype=np.int64)
     for rng, size in partitions:
-        # ends[j]: the end of label j's run in v, #{u < cdf[j]}
-        ends = np.full(cdf.size, size)
-        ends[: first.size] = 0
-        for lo in range(0, size, block.size):
-            u = rng.random(out=block[: min(block.size, size - lo)])
-            ends[: first.size] += _count_below(u, first, mask)
-        j = 0
-        for lo in range(0, size, block.size):
-            v = rng.random(out=block[: min(block.size, size - lo)])
-            hi = lo + v.size
-            start = lo
-            while start < hi:
-                while ends[j] <= start:  # a label without hits, or done
-                    j += 1
-                if j not in tables:
-                    tables[j] = _column_table(columns[:, j], rows)
-                needed, upper, lower = tables[j]
-                stop = min(ends[j], hi)
-                x = v[start - lo : stop - lo]
-                below = np.concatenate(([0], _count_below(x, needed, mask), [x.size]))
-                counts[j] += below[upper] - below[lower]
-                start = stop
+        hits = np.diff(_count_run(rng, size, cdf, block, mask), prepend=0)
+        for j in np.flatnonzero(hits):
+            if j not in tables:
+                tables[j] = _column_table(columns[:, j], rows)
+            thresholds, upper, lower = tables[j]
+            below = _count_run(rng, hits[j], thresholds, block, mask)
+            counts[j] += below[upper] - below[lower]
     return counts
 
 

@@ -135,9 +135,13 @@ class _FixedUniforms:
         return out
 
 
-def test_pair_counts_on_table_boundaries():
+@pytest.mark.parametrize("block", (1, 2, 4, _DRAW_BLOCK))
+def test_pair_counts_on_table_boundaries(monkeypatch, block):
     # every uniform is a multiple of 1/8, so many sit exactly on a table
-    # entry; choice puts x == cdf[k] into outcome k + 1, and so must counts
+    # entry; choice puts x == cdf[k] into outcome k + 1, and so must counts.
+    # The label runs hold 4, 4 and 8 uniforms, so blocks 1, 2 and 4 end
+    # exactly where a run ends
+    monkeypatch.setattr(experiment, "_DRAW_BLOCK", block)
     probs = np.array([0.25, 0.25, 0.5])
     columns = np.array(
         [[0.25, 0.5, 0.0], [0.0, 0.0, 0.25], [0.25, 0.5, 0.25], [0.5, 0.0, 0.5]]
@@ -163,17 +167,28 @@ def test_pair_counts_on_table_boundaries():
 
 
 def test_count_below_skips_thresholds_at_or_below_the_minimum():
-    # #{x < t} is 0 for t <= min(x), so those thresholds take no comparison
-    # pass: a mask no pass has written to keeps its contents
+    # #{x < t} is 0 for t <= min(x) and x.size for t >= 1.0, since every
+    # uniform is below 1, so those thresholds take no comparison pass: a
+    # mask no pass has written to keeps its contents
     x = np.random.default_rng(3).random(1000)
     lo = x.min()
-    cases = ([0.0, lo / 2, lo, np.nextafter(lo, 1.0), 0.5, 0.8], [0.0, lo], [0.9], [])
+    cases = (
+        [0.0, lo / 2, lo, np.nextafter(lo, 1.0), 0.5, 0.8],
+        [0.0, lo],
+        [0.9],
+        [],
+        [1.0],
+        [1.0, 1.0, 1.5],
+        [0.0, lo, 1.0, 2.0],
+        [0.0, 0.5, 1.0],
+    )
     for thresholds in cases:
         thresholds = np.asarray(thresholds, dtype=float)
         mask = np.ones(x.size + 5, dtype=bool)
         counts = _count_below(x, thresholds, mask)
         assert counts.tolist() == [np.count_nonzero(x < t) for t in thresholds]
-        assert mask.all() == (thresholds <= lo).all()
+        skipped = (thresholds <= lo) | (thresholds >= 1.0)
+        assert mask.all() == skipped.all()
 
 
 def _reference_partition_counts(partitions, initial_probs, columns, rows):
@@ -276,9 +291,10 @@ DRAW_BLOCK_CASES = [
 def test_pair_counts_do_not_depend_on_draw_block(
     monkeypatch, block, sizes, trans_forward, ladders
 ):
-    # the uniforms are drawn and compared a block at a time, and a label's
-    # run of second-label uniforms is split where a block ends; block 1
-    # splits every run, 7 and 1000 split runs and partitions unevenly
+    # the uniforms are drawn and compared a block at a time: each run, the
+    # first-label run and every label's run of second-label uniforms, is
+    # split at multiples of the block size counted from the start of that
+    # run; block 1 splits every run, 7 and 1000 split runs unevenly
     monkeypatch.setattr(experiment, "_DRAW_BLOCK", block)
     ladder = ladders["9-unsorted"]
     cols, columns = _ladder_columns(trans_forward, ladder)
@@ -287,18 +303,24 @@ def test_pair_counts_do_not_depend_on_draw_block(
     _assert_partitions_follow_reference(partitions, probs, columns, cols)
 
 
-def test_column_tables_compare_only_inside_the_unit_interval(
+def test_column_table_bounds_at_zero_and_one_take_no_pass(
     preparation, trans_forward
 ):
-    # sample_experiment counts over every row, so each column's bounds run
-    # from 0.0 to 1.0; those two take their counts without a comparison pass
+    # sample_experiment counts over every row, so each column's table runs
+    # from 0.0 to 1.0. Those two bounds, and any entry that rounds to 1.0,
+    # count 0 and x.size without a comparison pass: with a zero-length mask
+    # any pass would fail
     columns = trans_forward.matrix / trans_forward.matrix.sum(axis=0, keepdims=True)
     probs = preparation.probabilities / preparation.probabilities.sum()
     rows = np.arange(trans_forward.labels.size)
+    x = np.random.default_rng(5).random(1000)
+    no_pass = np.empty(0, dtype=bool)
     for j in range(columns.shape[1]):
-        needed, upper, lower = _column_table(columns[:, j], rows)
-        assert ((needed > 0.0) & (needed < 1.0)).all()
-        assert lower[0] == 0 and upper[-1] == needed.size + 1
+        thresholds, upper, lower = _column_table(columns[:, j], rows)
+        assert thresholds[lower[0]] == 0.0 and thresholds[upper[-1]] == 1.0
+        edge = thresholds[(thresholds == 0.0) | (thresholds == 1.0)]
+        counts = _count_below(x, edge, no_pass)
+        assert counts.tolist() == [0 if t == 0.0 else x.size for t in edge]
     for seed in SEEDS:
         _assert_partitions_follow_reference([(seed, 20_000)], probs, columns, rows)
 

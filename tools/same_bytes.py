@@ -12,7 +12,10 @@ written. The matrix: ``spectrum``, ``noise``, ``run --exact``, ``run
 --sampled --dt 1e-3`` at 400000, 250017 and 65537 events, ``microrev --dt
 1e-3``, ``gibbs --exact --dt 1e-3`` and ``gibbs --sampled --dt 1e-3`` at the
 default events and at 250017, each at seeds 1 and 20261019, plus ``gibbs
---exact --dt 1e-3`` with ``{"bare_ladder": true}``.
+--exact --dt 1e-3`` with ``{"bare_ladder": true}`` and ``gibbs --sampled
+--dt 1e-3 --events 250017`` on the subspace ``[3, -4, 0, 4, -1, 2, -3, 1,
+-2]``: a ladder order that differs from basis order, nine label runs per
+partition and a partition boundary crossed.
 
 Prints one line per payload whose digest differs. Exit status: 0 when every
 command's outputs are equal, 1 on a difference, 2 when a command or a
@@ -63,15 +66,29 @@ print(json.dumps({"cpbsim": cpbsim.__file__, "results": results}))
 """
 
 
-def matrix(bare_config: Path):
-    """(label, argv) of every command, in run order."""
+# Config-file runs: (label, config, argv).
+CONFIG_RUNS = (
+    ("bare ladder", {"bare_ladder": True}, ["gibbs", "--exact", "--dt", "1e-3"]),
+    (
+        "9-label subspace",
+        {"subspace": [3, -4, 0, 4, -1, 2, -3, 1, -2]},
+        ["gibbs", "--sampled", "--dt", "1e-3", "--events", "250017"],
+    ),
+)
+
+
+def matrix(tmp: Path):
+    """(label, argv) of every command, in run order; writes the config
+    files of ``CONFIG_RUNS`` into ``tmp``."""
     runs = [
         [f"seed {seed}: {' '.join(argv)}", [*argv, "--seed", str(seed)]]
         for seed in SEEDS
         for argv in COMMANDS
     ]
-    bare = ["gibbs", "--exact", "--dt", "1e-3", "--config", str(bare_config)]
-    runs.append(["bare ladder: gibbs --exact --dt 1e-3", bare])
+    for i, (name, config, argv) in enumerate(CONFIG_RUNS):
+        path = tmp / f"config{i}.json"
+        path.write_text(json.dumps(config) + "\n", encoding="utf-8")
+        runs.append([f"{name}: {' '.join(argv)}", [*argv, "--config", str(path)]])
     return runs
 
 
@@ -131,9 +148,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="same_bytes.") as tmp:
         tmp = Path(tmp)
-        bare_config = tmp / "bare.json"
-        bare_config.write_text('{"bare_ladder": true}\n', encoding="utf-8")
-        runs = matrix(bare_config)
+        runs = matrix(tmp)
         checkout = tmp / "rev"
         try:
             rev = git("rev-parse", "--short", f"{args.against}^{{commit}}")
