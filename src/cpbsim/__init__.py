@@ -17,7 +17,6 @@ from .drive import (
     DriveProtocol,
     TabulatedProtocol,
     Waveform,
-    default_protocol,
     load_waveform_table,
     reverse_protocol,
     sample_drive,

@@ -123,11 +123,6 @@ def _check_direction(direction: str) -> None:
         raise ValueError(f"protocol.direction must be {FORWARD!r} or {BACKWARD!r}")
 
 
-def default_protocol() -> DriveProtocol:
-    """The benchmark drive, ``DriveProtocol()``."""
-    return DriveProtocol()
-
-
 def sample_drive(protocol, t: float) -> BiasPoint:
     """Bias point seen by the device at time ``t`` into the protocol.
 

@@ -62,8 +62,6 @@ class ExperimentSample:
 
     counts: np.ndarray = field(repr=False)
     labels: np.ndarray
-    direction: str
-    seed: int
     n_events: int
 
 
@@ -310,13 +308,7 @@ def sample_experiment(
     probs = prep.probabilities / prep.probabilities.sum()
     rows = np.arange(trans.labels.size)
     counts = _pair_counts(partition_seeds(seed, n_events), probs, columns, rows)
-    return ExperimentSample(
-        counts=counts.T,
-        labels=trans.labels,
-        direction=trans.direction,
-        seed=seed,
-        n_events=n_events,
-    )
+    return ExperimentSample(counts=counts.T, labels=trans.labels, n_events=n_events)
 
 
 def microrev_deviation(

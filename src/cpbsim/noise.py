@@ -1,18 +1,18 @@
 """Decoherence-window diagnostics and charge-detector distinguishability.
 
 Two independent concerns live here. First, the ratio of pure dephasing to
-relaxation for a neighboring eigenstate pair along the protocol: charge
-noise couples through the island charge operator, so the ratio is fixed by
-its matrix elements in the instantaneous eigenbasis and by a thermal factor
-of the level gap against the bath temperature. Second, the readout fidelity
-of a charge detector distinguishing adjacent charge states from the induced
-charge on a coupling capacitor.
+relaxation for the qubit pair, the two lowest eigenstates, along the
+protocol: charge noise couples through the island charge operator, so the
+ratio is fixed by its matrix elements in the instantaneous eigenbasis and
+by a thermal factor of the level gap against the bath temperature.
+Second, the readout fidelity of a charge detector distinguishing adjacent
+charge states from the induced charge on a coupling capacitor.
 
 The matrix elements need no complex eigensolve. The diagonal gauge D of
 :func:`cpbsim.model.gauge_tridiagonal` maps H to a real symmetric
 tridiagonal T, and D commutes with the charge operator n, so the elements
 are those of n between the real eigenvectors of T. Each instant solves only
-the pair (k, k+1) it needs, by ``cpbsim._lapack.level_pair``.
+the pair (0, 1) it needs, by ``cpbsim._lapack.level_pair``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ _LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 @dataclass(frozen=True)
 class DephasingRatioPoint:
-    """T_phi/T_1 and the derived T_2/T_1 for levels (k, k+1) at one instant."""
+    """T_phi/T_1 and the derived T_2/T_1 for levels (0, 1) at one instant."""
 
     time: float
-    level: int
     tphi_over_t1: float
     t2_over_t1: float
     beta: float
@@ -99,12 +98,11 @@ def dephasing_ratio(
     params: DeviceParams,
     bias: BiasPoint,
     t_bath: float = DEFAULT_BATH_TEMPERATURE,
-    k: int = 0,
     time: float = 0.0,
 ) -> DephasingRatioPoint:
-    """Pure-dephasing to relaxation ratio for eigenstate pair (k, k+1).
+    """Pure-dephasing to relaxation ratio for eigenstate pair (0, 1).
 
-    Ratio = 4|<k|n|k+1>|^2 / (<k|n|k> - <k+1|n|k+1>)^2 times the thermal
+    Ratio = 4|<0|n|1>|^2 / (<0|n|0> - <1|n|1>)^2 times the thermal
     factor x*coth(x) with x = gap/(2 k_B T_bath). Degenerate diagonal matrix
     elements mean pure dephasing vanishes; the ratio is then reported as
     +inf and T_2/T_1 saturates at 2.
@@ -113,14 +111,14 @@ def dephasing_ratio(
     :func:`cpbsim.model.gauge_tridiagonal`, not from the complex H. The
     gauge D is diagonal, so it commutes with the charge operator n, and
     with H = D T D^dagger the eigenvectors of H are D s for the real
-    eigenvectors s of T: <k|n|k'> = s_k^T n s_k'. Only the pair (k, k+1) is
+    eigenvectors s of T: <k|n|k'> = s_k^T n s_k'. Only the pair (0, 1) is
     solved, by ``cpbsim._lapack.level_pair``: LAPACK bisection (``dstebz``)
     for the two eigenvalues and inverse iteration (``dstein``) for their
     eigenvectors. The ratio does not depend on the sign of either
     eigenvector, so none is pinned. A LAPACK failure raises
     ``numpy.linalg.LinAlgError``.
     """
-    return _ratio_points(params, [bias], [time], t_bath, k)[0]
+    return _ratio_points(params, [bias], [time], t_bath)[0]
 
 
 def ratio_trace(
@@ -128,9 +126,8 @@ def ratio_trace(
     protocol,
     n_samples: int = 667,
     t_bath: float = DEFAULT_BATH_TEMPERATURE,
-    k: int = 0,
 ):
-    """Sample the dephasing ratio at n_samples uniform instants.
+    """Sample the qubit pair's dephasing ratio at n_samples uniform instants.
 
     Each point is :func:`dephasing_ratio` at that instant's bias and time.
     """
@@ -138,21 +135,19 @@ def ratio_trace(
         raise ValueError("n_samples must be at least 2")
     times = np.linspace(0.0, protocol.duration, n_samples).tolist()
     biases = [sample_drive(protocol, t) for t in times]
-    return _ratio_points(params, biases, times, t_bath, k)
+    return _ratio_points(params, biases, times, t_bath)
 
 
-def _ratio_points(params, biases, times, t_bath, k):
+def _ratio_points(params, biases, times, t_bath):
     """:func:`dephasing_ratio` at each (bias, time), from one assembly of
     their tridiagonal forms."""
     if not t_bath > 0:
         raise ValueError("bath temperature must be positive")
-    if not 0 <= k < params.n_charges - 1:
-        raise ValueError("level index k+1 outside the basis")
     n_values = charge_labels(params).astype(float)
     diagonals, offs, _ = gauge_tridiagonal(params, biases)
     points = []
     for bias, time, diagonal, off in zip(biases, times, diagonals, offs):
-        energies, states = level_pair(diagonal, off, k)
+        energies, states = level_pair(diagonal, off, 0)
         elements = states.T @ (n_values[:, None] * states)
         off_element = elements[0, 1] ** 2
         diag = elements[0, 0] - elements[1, 1]
@@ -164,7 +159,6 @@ def _ratio_points(params, biases, times, t_bath, k):
         points.append(
             DephasingRatioPoint(
                 time=time,
-                level=k,
                 tphi_over_t1=ratio,
                 t2_over_t1=_t2_from_tphi(ratio),
                 beta=beta_ratio(params, bias.flux),

@@ -59,9 +59,8 @@ class EnergyLadder:
 
 @dataclass(frozen=True)
 class GibbsWeights:
-    """Boltzmann weights over the ladder labels at temperature T (kelvin)."""
+    """Boltzmann weights over the ladder labels at one temperature."""
 
-    temperature: float
     labels: np.ndarray
     weights: np.ndarray
 
@@ -97,7 +96,6 @@ class WorkDistribution:
 class BKEqualityResult:
     """Mean of exp(-W/k_BT) with its standard error (0 in exact mode)."""
 
-    temperature: float
     mean: float
     stderr: float
     kind: str
@@ -210,9 +208,7 @@ def gibbs_weights(ladder: EnergyLadder, temperature: float) -> GibbsWeights:
             f"to 0 at {temperature:g} K; raise the temperature or narrow the "
             "subspace"
         )
-    return GibbsWeights(
-        temperature=temperature, labels=ladder.labels, weights=weights
-    )
+    return GibbsWeights(labels=ladder.labels, weights=weights)
 
 
 def _work_grid(ladder: EnergyLadder):
@@ -326,9 +322,7 @@ def bk_equality(dist: WorkDistribution, temperature: float) -> BKEqualityResult:
             for w, p in zip(dist.values, dist.mass)
             if p > 0.0
         ]
-        return BKEqualityResult(
-            temperature=temperature, mean=math.fsum(terms), stderr=0.0, kind=EXACT
-        )
+        return BKEqualityResult(mean=math.fsum(terms), stderr=0.0, kind=EXACT)
     n = int(dist.mass.sum())
     if n < 2:
         raise ValueError("need at least two sampled events")
@@ -338,7 +332,6 @@ def bk_equality(dist: WorkDistribution, temperature: float) -> BKEqualityResult:
     deviation = np.where(dist.mass > 0, factors - mean, 0.0)
     var = float(np.dot(dist.mass, deviation**2) / (n - 1))
     return BKEqualityResult(
-        temperature=temperature,
         mean=mean,
         stderr=math.sqrt(var / n),
         kind=SAMPLED,

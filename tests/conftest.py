@@ -10,9 +10,9 @@ import pytest
 from cpbsim import (
     BACKWARD,
     DeviceParams,
+    DriveProtocol,
     PropagatorConfig,
     charge_labels,
-    default_protocol,
     energy_ladder,
     evolve,
     prepare_ensemble,
@@ -43,7 +43,7 @@ def params():
 
 @pytest.fixture(scope="session")
 def protocol():
-    return default_protocol()
+    return DriveProtocol()
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from cpbsim import (
     DriveProtocol,
     TabulatedProtocol,
     Waveform,
-    default_protocol,
     load_waveform_table,
     reverse_protocol,
     sample_drive,
@@ -106,7 +105,7 @@ def test_reverse_protocol_involutive(protocol):
 
 
 def test_mirror_toggle_matters_for_phase_shifted_drive():
-    proto = default_protocol()
+    proto = DriveProtocol()
     shifted = DriveProtocol(
         flux=Waveform(
             proto.flux.offset,

@@ -8,7 +8,6 @@ from cpbsim import (
     DeviceParams,
     PropagatorConfig,
     TransitionMatrix,
-    default_protocol,
     derive_seed,
     evolve,
     label_rows,

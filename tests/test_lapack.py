@@ -14,8 +14,8 @@ from scipy.linalg import lapack
 from cpbsim import (
     BiasPoint,
     DeviceParams,
+    DriveProtocol,
     PropagatorConfig,
-    default_protocol,
     evolve,
     ratio_trace,
     reverse_protocol,
@@ -37,7 +37,7 @@ def _random_forms(seed, count, n):
 
 
 def _drive_forms(count):
-    protocol = default_protocol()
+    protocol = DriveProtocol()
     biases = [sample_drive(protocol, float(t))
               for t in np.linspace(0.0, protocol.duration, count)]
     diagonals, offs, _ = gauge_tridiagonal(DeviceParams(), biases)
@@ -221,7 +221,7 @@ def test_solve_failure_raises_and_command_exits_2(
 def test_threads_give_serial_bits():
     params = DeviceParams()
     config = PropagatorConfig(time_step=1e-3)
-    forward = default_protocol()
+    forward = DriveProtocol()
     backward = reverse_protocol(forward)
     tasks = [
         lambda: evolve(params, forward, config),

@@ -15,11 +15,13 @@ from cpbsim import (
     DephasingRatioPoint,
     DetectorParams,
     DeviceParams,
+    DriveProtocol,
     charge_labels,
     dephasing_ratio,
     detector_distinguishability,
     kolmogorov_distance_quadrature,
     ratio_trace,
+    reverse_protocol,
     sample_drive,
     window_width,
 )
@@ -28,16 +30,16 @@ from cpbsim import noise
 from _dense import build_hamiltonian, eigensystem
 
 
-def _dense_ratio(params, bias, k, t_bath=noise.DEFAULT_BATH_TEMPERATURE):
-    """Reference route: T_phi/T_1 from the phase-pinned dense eigensystem of
-    the complex H, and the level energies it used."""
+def _dense_ratio(params, bias, t_bath=noise.DEFAULT_BATH_TEMPERATURE):
+    """Reference route: the qubit pair's T_phi/T_1 from the phase-pinned
+    dense eigensystem of the complex H, and the level energies it used."""
     sys = eigensystem(build_hamiltonian(params, bias))
     n_values = charge_labels(params).astype(float)
-    lower = sys.states[:, k]
-    upper = sys.states[:, k + 1]
+    lower = sys.states[:, 0]
+    upper = sys.states[:, 1]
     off = abs(np.vdot(lower, n_values * upper)) ** 2
     diag = float(np.real(np.vdot(lower, n_values * lower) - np.vdot(upper, n_values * upper)))
-    x = (sys.energies[k + 1] - sys.energies[k]) / (2.0 * KB_OVER_HBAR * t_bath)
+    x = (sys.energies[1] - sys.energies[0]) / (2.0 * KB_OVER_HBAR * t_bath)
     thermal = x / math.tanh(x) if x > 0.0 else 1.0
     ratio = math.inf if diag * diag < 1e-24 else 4.0 * off / (diag * diag) * thermal
     return ratio, sys.energies
@@ -55,10 +57,16 @@ def test_t2_identity_holds_along_trace(params, protocol):
 
 
 def test_symmetric_bias_kills_pure_dephasing(params):
-    # at n_g = 0 the ground/first pair has equal diagonal charge elements
-    point = dephasing_ratio(params, BiasPoint(flux=0.0, gate_charge=0.0))
-    assert math.isinf(point.tphi_over_t1)
-    assert point.t2_over_t1 == 2.0
+    # at integer and half-integer n_g the qubit pair has equal diagonal
+    # charge elements, at any flux. Measured at these 12 biases: |diag| at
+    # most 4.4e-16, far under the 1e-12 the 1e-24 cut on diag^2 allows
+    for gate in (0.5, 0.0, -1.5, 1.5):
+        for flux in (0.0, 0.25, 0.5):
+            bias = BiasPoint(flux=flux, gate_charge=gate)
+            point = dephasing_ratio(params, bias)
+            assert point.tphi_over_t1 == math.inf, bias
+            assert point.t2_over_t1 == 2.0, bias
+            assert _dense_ratio(params, bias)[0] == math.inf, bias
 
 
 def test_zero_tunneling_freezes_coherence(protocol):
@@ -78,25 +86,23 @@ def test_ratio_trace_covers_protocol(params, protocol):
         ratio_trace(params, protocol, n_samples=1)
 
 
-@pytest.mark.parametrize("k", [0, 2])
-def test_trace_points_are_dephasing_ratios(params, protocol, k):
+@pytest.mark.parametrize(
+    "drive", [DriveProtocol(), reverse_protocol(DriveProtocol())], ids=["forward", "backward"]
+)
+def test_trace_points_are_dephasing_ratios(params, drive):
     # one flow for both: each trace point is dephasing_ratio at its instant's
     # bias and time, with every field equal
-    points = ratio_trace(params, protocol, n_samples=67, k=k)
-    times = np.linspace(0.0, protocol.duration, 67).tolist()
+    points = ratio_trace(params, drive, n_samples=67)
+    times = np.linspace(0.0, drive.duration, 67).tolist()
     assert [p.time for p in points] == times
     for point, t in zip(points, times):
-        assert point == dephasing_ratio(params, sample_drive(protocol, t), k=k, time=t)
+        assert point == dephasing_ratio(params, sample_drive(drive, t), time=t)
 
 
 def test_dephasing_ratio_validation(params):
     bias = BiasPoint(flux=0.25, gate_charge=-1.95)
     with pytest.raises(ValueError):
         dephasing_ratio(params, bias, t_bath=0.0)
-    with pytest.raises(ValueError):
-        dephasing_ratio(params, bias, k=50)
-    with pytest.raises(ValueError):
-        dephasing_ratio(params, bias, k=-1)
 
 
 def test_window_width_synthetic_pattern():
@@ -238,17 +244,17 @@ def test_beta_reported_along_trace(params, protocol):
     assert start.beta == pytest.approx(0.05 * 10.0 / 12.0)
 
 
-@pytest.mark.parametrize("k", [0, 1, 3])
-def test_dephasing_ratio_matches_dense_route(k):
-    # Seeded random devices, with E_J = 0, asymmetry 0 and N = 5 among them,
-    # and biases that include flux +-1/2, where arg E_J jumps by pi at
-    # asymmetry 0. Bound: 1e-8 relative plus 1e-19 absolute (a T_2/T_1 of
-    # 2e-19 is zero for every use). Measured on these cases: 7.1e-13
-    # (k = 0), 3.9e-12 (k = 1) and 5.8e-10 (k = 3) relative for ratios
-    # above 1e-12. Below that the coupling element is at roundoff in both
-    # routes; the largest absolute gap there is 7.2e-22. The closest case
-    # uses 0.7% of the bound.
-    rng = np.random.default_rng(4100 + k)
+@pytest.mark.parametrize("draw", [0, 1, 3])
+def test_dephasing_ratio_matches_dense_route(draw):
+    # The qubit pair on seeded random devices (seeds 4100, 4101, 4103), with
+    # E_J = 0, asymmetry 0 and N = 5 among them, and biases that include
+    # flux +-1/2, where arg E_J jumps by pi at asymmetry 0. Bound: 1e-8
+    # relative plus 1e-19 absolute (a T_2/T_1 of 2e-19 is zero for every
+    # use). Measured on these cases: 7.1e-13, 3.9e-12 and 7.8e-12 relative
+    # for ratios above 1e-12, 284 compared per seed. Below that the coupling
+    # element is at roundoff in both routes; the largest absolute gap there
+    # is 8.7e-32. The closest case uses 0.08% of the bound.
+    rng = np.random.default_rng(4100 + draw)
     compared = 0
     for case in range(24):
         params = DeviceParams(
@@ -263,14 +269,12 @@ def test_dephasing_ratio_matches_dense_route(k):
             if case % 6 == 1 and j == 4:
                 gate = 0.5  # charge degeneracy without tunneling: skipped
             bias = BiasPoint(flux=flux, gate_charge=gate)
-            reference, energies = _dense_ratio(params, bias, k)
+            reference, energies = _dense_ratio(params, bias)
             # a gap at roundoff around the pair leaves both routes free to
             # pick any basis of the degenerate levels
-            levels = energies[max(k - 1, 0) : k + 3]
-            if np.min(np.diff(levels)) < 1e-9 * np.max(np.abs(energies)):
+            if np.min(np.diff(energies[:3])) < 1e-9 * np.max(np.abs(energies)):
                 continue
-            point = dephasing_ratio(params, bias, k=k)
-            assert point.level == k
+            point = dephasing_ratio(params, bias)
             if math.isinf(reference):
                 assert math.isinf(point.tphi_over_t1)
                 continue
@@ -281,7 +285,7 @@ def test_dephasing_ratio_matches_dense_route(k):
 
 def test_window_width_rejects_non_uniform_trace(params, protocol):
     def trace(times):
-        return [DephasingRatioPoint(t, 0, 0.04, 0.02, 0.0) for t in times]
+        return [DephasingRatioPoint(t, 0.04, 0.02, 0.0) for t in times]
 
     uniform = np.linspace(0.0, 0.4, 5)
     assert window_width(trace(uniform), 0.0, 1.0) == pytest.approx(0.4)

@@ -9,7 +9,6 @@ from cpbsim import (
     DriveProtocol,
     PropagatorConfig,
     Waveform,
-    default_protocol,
     evolve,
     prepare_ensemble,
     reverse_protocol,
@@ -353,10 +352,10 @@ def test_spectrum_crossings_without_tunneling(params):
     # no tunneling, no avoided crossings: the two lowest levels touch when
     # the gate sweeps through a half-integer charge bias
     frozen = DeviceParams(josephson_energy_total=0.0)
-    trace = spectrum_trace(frozen, default_protocol(), 4001)
+    trace = spectrum_trace(frozen, DriveProtocol(), 4001)
     gap = trace.energies[:, 1]
     assert gap.min() < 0.5
-    with_tunneling = spectrum_trace(params, default_protocol(), 1001)
+    with_tunneling = spectrum_trace(params, DriveProtocol(), 1001)
     assert with_tunneling.energies[:, 1].min() > 1.0
 
 

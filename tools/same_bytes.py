@@ -12,10 +12,14 @@ written. The matrix: ``spectrum``, ``noise``, ``run --exact``, ``run
 --sampled --dt 1e-3`` at 400000, 250017 and 65537 events, ``microrev --dt
 1e-3``, ``gibbs --exact --dt 1e-3`` and ``gibbs --sampled --dt 1e-3`` at the
 default events and at 250017, each at seeds 1 and 20261019, plus ``gibbs
---exact --dt 1e-3`` with ``{"bare_ladder": true}`` and ``gibbs --sampled
+--exact --dt 1e-3`` with ``{"bare_ladder": true}``, ``gibbs --sampled
 --dt 1e-3 --events 250017`` on the subspace ``[3, -4, 0, 4, -1, 2, -3, 1,
--2]``: a ladder order that differs from basis order, nine label runs per
-partition and a partition boundary crossed.
+-2]`` (a ladder order that differs from basis order, nine label runs per
+partition and a partition boundary crossed), ``run --exact --dt 1e-3`` on
+``{"protocol": {"direction": "backward"}}`` (``run`` without preparation or
+counts), and ``run --exact --dt 1e-3`` and ``gibbs --exact --dt 1e-3`` on a
+waveform table of the default drive, 201 rows over t in [0, 2/3] that the
+tool writes into its temporary directory.
 
 Prints one line per payload whose digest differs. Exit status: 0 when every
 command's outputs are equal, 1 on a difference, 2 when a command or a
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,18 +79,38 @@ CONFIG_RUNS = (
         {"subspace": [3, -4, 0, 4, -1, 2, -3, 1, -2]},
         ["gibbs", "--sampled", "--dt", "1e-3", "--events", "250017"],
     ),
+    ("backward", {"protocol": {"direction": "backward"}}, ["run", "--exact", "--dt", "1e-3"]),
 )
+
+# Commands run on the waveform table that ``matrix`` writes.
+TABLE_COMMANDS = (["run", "--exact", "--dt", "1e-3"], ["gibbs", "--exact", "--dt", "1e-3"])
+
+
+def waveform_table() -> str:
+    """The default drive, flux 0.5 cos(3 pi t) and n_g 0.05 - 2 cos(3 pi t),
+    at 201 times t = i/300 ns, as a waveform table CSV of float reprs."""
+    lines = ["t_ns,flux_phi0,n_g"]
+    for i in range(201):
+        t = i / 300
+        c = math.cos(3.0 * math.pi * t)
+        lines.append(f"{t!r},{0.5 * c!r},{0.05 - 2.0 * c!r}")
+    return "\n".join(lines) + "\n"
 
 
 def matrix(tmp: Path):
-    """(label, argv) of every command, in run order; writes the config
-    files of ``CONFIG_RUNS`` into ``tmp``."""
+    """(label, argv) of every command, in run order; writes the waveform
+    table and the config files of ``CONFIG_RUNS`` and ``TABLE_COMMANDS``
+    into ``tmp``."""
     runs = [
         [f"seed {seed}: {' '.join(argv)}", [*argv, "--seed", str(seed)]]
         for seed in SEEDS
         for argv in COMMANDS
     ]
-    for i, (name, config, argv) in enumerate(CONFIG_RUNS):
+    table = tmp / "table.csv"
+    table.write_text(waveform_table(), encoding="utf-8")
+    on_table = {"protocol": {"family": "table", "table_path": str(table)}}
+    configs = [*CONFIG_RUNS, *(("waveform table", on_table, argv) for argv in TABLE_COMMANDS)]
+    for i, (name, config, argv) in enumerate(configs):
         path = tmp / f"config{i}.json"
         path.write_text(json.dumps(config) + "\n", encoding="utf-8")
         runs.append([f"{name}: {' '.join(argv)}", [*argv, "--config", str(path)]])
