@@ -21,10 +21,10 @@ the four routines (conda/MKL or Accelerate builds), the solves call the same
 routines through ``scipy.linalg.lapack``: the same LAPACK code through
 another binding, picked from what the process finds.
 
-A solve's ctypes arguments and arrays are built once per matrix order and
-thread: a call copies ``d`` and ``e`` into those arrays, calls LAPACK and
-returns copies of the outputs. ctypes releases the GIL for each call, so
-every thread keeps its own arrays.
+One workspace per matrix order and thread holds the arrays and ctypes
+arguments of all four routines: a call copies ``d`` and ``e`` into its
+arrays, calls LAPACK and returns copies of the outputs. ctypes releases
+the GIL for each call, so every thread keeps its own workspaces.
 """
 
 from __future__ import annotations
@@ -72,67 +72,57 @@ def _ascending(w: np.ndarray, z: np.ndarray):
     return w[pair], z[:, pair]
 
 
-def _tridiagonal(n: int):
-    """Arrays for D and E, and a view of E's n - 1 entries."""
-    d, e = np.empty(n), np.empty(max(n - 1, 1))
-    return d, e, e[: n - 1]
+class _Workspace:
+    """A thread's arrays and ctypes arguments for matrix order n, shared by
+    the four routines; LAPACK only ever sees these arrays, whose sizes are
+    fixed by n.
 
+    Each routine's arguments are the tuple named after it. dstevd's work
+    space (1 + 4n + n^2 and 3 + 5n) covers dstebz's (4n and 3n) and
+    dstein's (5n and n), and dstein writes its two eigenvectors into the
+    first two columns of Z.
+    """
 
-def _eigh_space(n: int):
-    d, e, e_in = _tridiagonal(n)
-    z = np.empty((n, n), order="F")
-    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
-    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-    info = _INT()
-    args = (
-        b"V", _int(n), _address(d), _address(e), _address(z), _int(max(n, 1)),
-        _address(work), _int(lwork), _address(iwork), _int(liwork),
-        ctypes.byref(info), _CHAR_LEN,
-    )
-    return d, e_in, z, info, args, (e, work, iwork)
-
-
-def _eigvalsh_space(n: int):
-    d, e, e_in = _tridiagonal(n)
-    info = _INT()
-    args = (_int(n), _address(d), _address(e), ctypes.byref(info))
-    return d, e_in, info, args, e
-
-
-def _pair_space(n: int):
-    d, e, e_in = _tridiagonal(n)
-    w, z = np.empty(n), np.empty((n, 2), order="F")
-    iblock, isplit = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    # work space for either routine: dstebz needs 4n and 3n, dstein 5n and n
-    work, iwork = np.empty(5 * n), np.empty(3 * n, dtype=np.int64)
-    ifail = np.empty(2, dtype=np.int64)
-    il, iu, count, info = _INT(), _INT(), _INT(), _INT()
-    zero = ctypes.byref(ctypes.c_double(0.0))
-    # range "I" selects by 1-based index il..iu; abstol 0 is LAPACK's
-    # default, eps times the norm of T
-    bisect = (
-        b"I", b"B", _int(n), zero, zero, ctypes.byref(il), ctypes.byref(iu), zero,
-        _address(d), _address(e), ctypes.byref(count), _int(0), _address(w),
-        _address(iblock), _address(isplit), _address(work), _address(iwork),
-        ctypes.byref(info), _CHAR_LEN, _CHAR_LEN,
-    )
-    # dstein reads the first two of dstebz's w and iblock, and its isplit
-    invert = (
-        _int(n), _address(d), _address(e), _int(2), _address(w), _address(iblock),
-        _address(isplit), _address(z), _int(max(n, 1)), _address(work),
-        _address(iwork), _address(ifail), ctypes.byref(info),
-    )
-    keep = (e, iblock, isplit, work, iwork, ifail)
-    return d, e_in, w, z, il, iu, count, info, bisect, invert, keep
+    def __init__(self, n: int) -> None:
+        lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+        # fields, so that they live as long as the arguments holding their
+        # addresses
+        self.d, self.e, self.w = np.empty(n), np.empty(n - 1), np.empty(n)
+        self.z, self.work = np.empty((n, n), order="F"), np.empty(lwork)
+        self.iwork, self.iblock, self.isplit, self.ifail = (
+            np.empty(size, dtype=np.int64) for size in (liwork, n, n, 2)
+        )
+        d, e, w, z, work = map(_address, (self.d, self.e, self.w, self.z, self.work))
+        iwork, iblock, isplit, ifail = map(
+            _address, (self.iwork, self.iblock, self.isplit, self.ifail)
+        )
+        self.il, self.iu, self.count, self.info = _INT(), _INT(), _INT(), _INT()
+        order, ldz, info = _int(n), _int(n), ctypes.byref(self.info)
+        zero = ctypes.byref(ctypes.c_double(0.0))
+        self.dstevd = (
+            b"V", order, d, e, z, ldz, work, _int(lwork), iwork, _int(liwork), info,
+            _CHAR_LEN,
+        )
+        self.dsterf = (order, d, e, info)
+        # range "I" selects by 1-based index il..iu; abstol 0 is LAPACK's
+        # default, eps times the norm of T
+        self.dstebz = (
+            b"I", b"B", order, zero, zero, ctypes.byref(self.il), ctypes.byref(self.iu),
+            zero, d, e, ctypes.byref(self.count), _int(0), w, iblock, isplit, work,
+            iwork, info, _CHAR_LEN, _CHAR_LEN,
+        )
+        # dstein reads the first two of dstebz's w and iblock, and its isplit
+        self.dstein = (
+            order, d, e, _int(2), w, iblock, isplit, z, ldz, work, iwork, ifail, info,
+        )
 
 
 class _OpenBLAS:
     """The three solves through the four routines of numpy's OpenBLAS.
 
-    A ``_*_space(n)`` function builds the arrays and ctypes arguments of
-    one solve and matrix order, D's and E's arrays first, on the first call
-    of that solve and order in each thread. LAPACK only ever sees these
-    arrays, whose sizes are fixed by n.
+    Each thread builds one :class:`_Workspace` per matrix order, on its
+    first solve of that order, and every solve of the order copies ``d``
+    and ``e`` into it.
     """
 
     def __init__(self, dstevd, dsterf, dstebz, dstein) -> None:
@@ -142,42 +132,40 @@ class _OpenBLAS:
         self._dstebz, self._dstein = dstebz, dstein
         self._local = threading.local()
 
-    def _load(self, space_of, d, e):
-        """This thread's ``space_of(len(d))``, holding ``d`` and ``e``."""
+    def _load(self, d, e) -> _Workspace:
+        """This thread's workspace of order ``len(d)``, holding ``d`` and ``e``."""
         n = len(d)
         if len(e) != n - 1:
             raise ValueError(f"e has {len(e)} entries, not {n - 1}")
         spaces = self._local.__dict__
         try:
-            space = spaces[space_of, n]
+            space = spaces[n]
         except KeyError:
-            space = spaces[space_of, n] = space_of(n)
-        space[0][...] = d
-        space[1][...] = e
+            space = spaces[n] = _Workspace(n)
+        space.d[...] = d
+        space.e[...] = e
         return space
 
     def eigh(self, d, e):
-        vals, _e, z, info, args, _keep = self._load(_eigh_space, d, e)
-        self._dstevd(*args)
-        _check("dstevd", info.value)
-        return vals.copy(), z.copy(order="F")
+        space = self._load(d, e)
+        self._dstevd(*space.dstevd)
+        _check("dstevd", space.info.value)
+        return space.d.copy(), space.z.copy(order="F")
 
     def eigvalsh(self, d, e):
-        vals, _e, info, args, _keep = self._load(_eigvalsh_space, d, e)
-        self._dsterf(*args)
-        _check("dsterf", info.value)
-        return vals.copy()
+        space = self._load(d, e)
+        self._dsterf(*space.dsterf)
+        _check("dsterf", space.info.value)
+        return space.d.copy()
 
     def level_pair(self, d, e, k):
-        _d, _e, w, z, il, iu, count, info, bisect, invert, _keep = self._load(
-            _pair_space, d, e
-        )
-        il.value, iu.value = k + 1, k + 2
-        self._dstebz(*bisect)
-        _check_bisection(info.value, count.value)
-        self._dstein(*invert)
-        _check("dstein", info.value)
-        return _ascending(w, z)
+        space = self._load(d, e)
+        space.il.value, space.iu.value = k + 1, k + 2
+        self._dstebz(*space.dstebz)
+        _check_bisection(space.info.value, space.count.value)
+        self._dstein(*space.dstein)
+        _check("dstein", space.info.value)
+        return _ascending(space.w, space.z)
 
 
 class _Scipy:

@@ -42,9 +42,10 @@ class Waveform:
     phase: float = 0.0
 
     def value(self, t: float) -> float:
-        return self.offset + self.amplitude * math.cos(
-            2.0 * math.pi * self.frequency * t + self.phase
-        )
+        return self.offset + self.amplitude * math.cos(self._argument(t))
+
+    def _argument(self, t: float) -> float:
+        return 2.0 * math.pi * self.frequency * t + self.phase
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,14 @@ class DriveProtocol:
         _check_direction(self.direction)
         if not self.duration > 0.0:
             raise ValueError("duration must be positive")
+        # the argument is linear in t, so largest in magnitude at an endpoint
+        for name, waveform in (("flux", self.flux), ("gate", self.gate)):
+            if not all(math.isfinite(waveform._argument(t)) for t in (0.0, self.duration)):
+                raise ValueError(
+                    f"protocol.duration {self.duration:g} makes the argument "
+                    f"2*pi*frequency*t + phase of protocol.{name} (frequency "
+                    f"{waveform.frequency:g}, phase {waveform.phase:g}) non-finite"
+                )
 
     def forward_bias(self, t: float) -> BiasPoint:
         return BiasPoint(flux=self.flux.value(t), gate_charge=self.gate.value(t))

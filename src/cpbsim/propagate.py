@@ -71,8 +71,14 @@ class SpectrumTrace:
 
 
 def _grid(span: float, dt: float):
-    """Number of full steps and remainder length tiling ``span``."""
-    n_full = int(np.floor(span / dt * (1.0 + 1e-12) + 1e-9))
+    """Number of full steps and remainder length tiling ``span``;
+    ``ValueError`` when the step count is not finite."""
+    count = span / dt * (1.0 + 1e-12) + 1e-9
+    if not np.isfinite(count):
+        raise ValueError(
+            f"time_step {dt} too fine for span {span}; the step count must be finite"
+        )
+    n_full = int(np.floor(count))
     remainder = span - n_full * dt
     if remainder < 1e-9 * dt:
         remainder = 0.0
@@ -98,9 +104,10 @@ def evolve(
 
     Later-time step factors multiply on the left. Defaults to the full
     protocol window. The step size must resolve the protocol: at least 100
-    steps per duration are required, and the energy scale must leave the
-    step phases resolvable: ``ValueError`` when eps * max|E| * (t_stop -
-    t_start) exceeds :data:`PHASE_ROUNDING_LIMIT`. Raises
+    steps per duration are required, and a finite step count over the
+    window. The energy scale must leave the step phases resolvable:
+    ``ValueError`` when eps * max|E| * (t_stop - t_start) exceeds
+    :data:`PHASE_ROUNDING_LIMIT`. Raises
     ``numpy.linalg.LinAlgError`` when the LAPACK eigensolver fails.
     """
     duration = protocol.duration

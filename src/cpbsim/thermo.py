@@ -221,22 +221,17 @@ def _work_grid(ladder: EnergyLadder):
     pair_work = ladder.energies[None, :] - ladder.energies[:, None]
     flat = pair_work.ravel()
     order = np.argsort(flat, kind="stable")
-    values = []
+    firsts = []
     group_flat = np.empty(flat.size, dtype=np.int64)
     for rank in order:
         w = flat[rank]
-        if values and w - values[-1] <= WORK_DEDUP_TOL:
-            group_flat[rank] = len(values) - 1
-            continue
-        values.append(w)
-        group_flat[rank] = len(values) - 1
+        if not firsts or w - firsts[-1] > WORK_DEDUP_TOL:
+            firsts.append(w)
+        group_flat[rank] = len(firsts) - 1
     # one representative per atom: mean of the grouped raw values
-    values = np.asarray(values)
-    sums = np.zeros(values.size)
-    hits = np.zeros(values.size)
+    sums = np.zeros(len(firsts))
     np.add.at(sums, group_flat, flat)
-    np.add.at(hits, group_flat, 1.0)
-    return sums / hits, group_flat.reshape(n, n)
+    return sums / np.bincount(group_flat), group_flat.reshape(n, n)
 
 
 def work_distribution_exact(

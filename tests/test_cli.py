@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +70,11 @@ def test_bad_temperatures_flag_exits_2(tmp_path):
         ({"device": {"charging_energy": 10**400}}, ["run", "--dt", "1e-3"]),
         ({}, ["gibbs", "--exact", "--temperatures", "nan"]),
         ({}, ["gibbs", "--exact", "--temperatures", "inf"]),
+        # the duration over the smallest subnormal step is inf steps
+        ({}, ["run", "--exact", "--dt", "5e-324"]),
     ],
-    ids=["config-nan", "config-int-overflow", "temperature-nan", "temperature-inf"],
+    ids=["config-nan", "config-int-overflow", "temperature-nan", "temperature-inf",
+         "step-count"],
 )
 def test_non_finite_values_exit_2(tmp_path, capsys, mapping, argv):
     # Python's json reads NaN and Infinity, so the config layer must refuse them
@@ -125,6 +129,26 @@ def test_failed_payload_write_leaves_nothing(tmp_path, capsys, monkeypatch, name
     assert capsys.readouterr().err == "cpbsim: [Errno 28] No space left on device\n"
     assert writes == ["noise_trace.csv", "detector.json"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_swap_restores_the_earlier_run(tmp_path, capsys, monkeypatch):
+    # the earlier run's directory is moved aside and then back when the new
+    # one cannot be moved into place
+    out = tmp_path / "o"
+    assert main(["noise", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    replace = os.replace
+
+    def failing_swap(src, dst):
+        if Path(src).name == "new":
+            raise OSError(18, "Invalid cross-device link")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_swap)
+    assert main(["noise", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "cpbsim: [Errno 18] Invalid cross-device link\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("existing", ["foreign file", "file", "foreign manifest"])
@@ -560,6 +584,38 @@ def test_overflowing_hamiltonian_exits_2(tmp_path, capsys, config, argv, line):
     assert main(argv + ["--dt", "1e-3", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cpbsim: {line}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "noise", "run", "microrev", "gibbs"])
+def test_overflowing_waveform_argument_exits_2(tmp_path, capsys, command):
+    # 2*pi*1.5*duration overflows; refused when the config is read, before
+    # a waveform is sampled or a step count formed
+    cfg = _write_config(tmp_path, {"protocol": {"duration": 1.7976931348623157e308},
+                                   "spectrum_samples": 10, "trace_samples": 10})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "cpbsim: protocol.duration 1.79769e+308 makes the argument 2*pi*frequency*t "
+        "+ phase of protocol.flux (frequency 1.5, phase 0) non-finite\n"
+    )
+    assert not out.exists()
+
+
+def test_ambiguous_ladder_refused_before_propagating(tmp_path, capsys, monkeypatch):
+    # n_g(0) = 0.5 - 2 = -1.5 gives charges n and -3 - n equal charging
+    # energies, and tunneling splits each of the pairs nearest the gate
+    # charge evenly between two eigenstates
+    calls = _count_propagations(monkeypatch)
+    cfg = _write_config(tmp_path, {"protocol": {"gate": {"offset": 0.5}}})
+    out = tmp_path / "o"
+    argv = ["gibbs", "--exact", "--dt", "1e-3", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "cpbsim: ambiguous charge-to-eigenstate mapping: n=-2 overlap=0.4999, "
+        "n=-1 overlap=0.4999, n=0 overlap=0.4999, n=1 overlap=0.5000\n"
+    )
+    assert not out.exists()
+    assert calls == []
 
 
 # the third text nests far past the recursion limit of the JSON decoder
@@ -1073,6 +1129,18 @@ def test_waveform_table_rejects_bad_cells(tmp_path, capsys, rows, line):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--dt", "1e-3", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cpbsim: {line.format(table=table)}\n"
+    assert not out.exists()
+
+
+def test_empty_waveform_table_exits_2(tmp_path, capsys):
+    table = tmp_path / "wave.csv"
+    table.write_text("")
+    cfg = _write_config(
+        tmp_path, {"protocol": {"family": "table", "table_path": str(table)}}
+    )
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cpbsim: {table}: empty waveform table\n"
     assert not out.exists()
 
 

@@ -120,6 +120,24 @@ def test_binding_names_numpy_openblas():
     assert [type(solve.__self__).__name__ for solve in solves] == ["_OpenBLAS"] * 3
 
 
+@pytest.mark.parametrize("binding", ["numpy", "scipy"])
+@pytest.mark.parametrize("entries", [3, 5], ids=["n-2", "n"])
+def test_off_diagonal_of_the_wrong_length_raises(binding, entries):
+    if binding == "numpy":
+        if not OPENBLAS:
+            pytest.skip("numpy carries no bundled OpenBLAS LAPACK")
+        eigh, eigvalsh, level_pair = _lapack.eigh, _lapack.eigvalsh, _lapack.level_pair
+        message = f"e has {entries} entries, not 4"
+    else:
+        # f2py's own check of the wrapper's arguments
+        eigh, eigvalsh, level_pair, _ = SCIPY
+        message = "0-th dimension must be fixed to 4"
+    d, e = np.arange(5.0), np.ones(entries)
+    for solve, args in ((eigh, (d, e)), (eigvalsh, (d, e)), (level_pair, (d, e, 0))):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve(*args)
+
+
 def test_routines_are_not_plain_functions():
     # the benchmark tracer wraps every public cpbsim function, and tests
     # replace these names in the two modules that call them
