@@ -78,6 +78,15 @@ class DriveProtocol:
                     f"2*pi*frequency*t + phase of protocol.{name} (frequency "
                     f"{waveform.frequency:g}, phase {waveform.phase:g}) non-finite"
                 )
+        # every flux lies within |offset| + |amplitude|, and the Josephson
+        # energy takes cos and sin of pi*flux
+        bound = abs(self.flux.offset) + abs(self.flux.amplitude)
+        if not math.isfinite(math.pi * bound):
+            raise ValueError(
+                f"protocol.flux offset {self.flux.offset:g} and amplitude "
+                f"{self.flux.amplitude:g} allow a flux of {bound:g} flux quanta, "
+                "whose phase pi*flux overflows"
+            )
 
     def forward_bias(self, t: float) -> BiasPoint:
         return BiasPoint(flux=self.flux.value(t), gate_charge=self.gate.value(t))
@@ -115,6 +124,13 @@ class TabulatedProtocol:
             raise ValueError("waveform table times must increase strictly")
         if len(self.flux_values) != t.size or len(self.gate_values) != t.size:
             raise ValueError("waveform table columns must have equal length")
+        # interpolation stays within the column's largest magnitude
+        largest = float(np.max(np.abs(self.flux_values)))
+        if not math.isfinite(math.pi * largest):
+            raise ValueError(
+                f"the waveform table's flux_phi0 holds a flux of {largest:g} flux "
+                "quanta, whose phase pi*flux overflows"
+            )
 
     @property
     def duration(self) -> float:

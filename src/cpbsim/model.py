@@ -136,7 +136,9 @@ def gauge_tridiagonal(params: DeviceParams, biases):
     n = charge_labels(params).astype(float)
     gate = np.array([bias.gate_charge for bias in biases], dtype=float)
     ejs = [josephson_energy(params, bias.flux) for bias in biases]
-    diagonals = 4.0 * params.charging_energy * (n - gate[:, None]) ** 2
+    # an overflowing or infinite-times-zero entry is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonals = 4.0 * params.charging_energy * (n - gate[:, None]) ** 2
     half = np.array([-0.5 * abs(ej) for ej in ejs])
     if not (np.isfinite(diagonals).all() and np.isfinite(half).all()):
         raise FloatingPointError("the Hamiltonian has a non-finite entry")

@@ -12,7 +12,9 @@ The matrix elements need no complex eigensolve. The diagonal gauge D of
 :func:`cpbsim.model.gauge_tridiagonal` maps H to a real symmetric
 tridiagonal T, and D commutes with the charge operator n, so the elements
 are those of n between the real eigenvectors of T. Each instant solves only
-the pair (0, 1) it needs, by ``cpbsim._lapack.level_pair``.
+the pair (0, 1) it needs, by ``cpbsim._lapack.level_pair``: one LAPACK
+``dstevx`` call, which scales T first where its norm is out of range, so a
+Josephson energy up to the float range still gives the pair.
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ def dephasing_ratio(
     gauge D is diagonal, so it commutes with the charge operator n, and
     with H = D T D^dagger the eigenvectors of H are D s for the real
     eigenvectors s of T: <k|n|k'> = s_k^T n s_k'. Only the pair (0, 1) is
-    solved, by ``cpbsim._lapack.level_pair``: LAPACK bisection (``dstebz``)
-    for the two eigenvalues and inverse iteration (``dstein``) for their
-    eigenvectors. The ratio does not depend on the sign of either
+    solved, by ``cpbsim._lapack.level_pair``: LAPACK ``dstevx``, which
+    bisects for the two eigenvalues, finds their eigenvectors by inverse
+    iteration and returns both in ascending order. The ratio does not
+    depend on the sign of either
     eigenvector, so none is pinned. A LAPACK failure raises
     ``numpy.linalg.LinAlgError``.
     """
@@ -147,7 +150,7 @@ def _ratio_points(params, biases, times, t_bath):
     diagonals, offs, _ = gauge_tridiagonal(params, biases)
     points = []
     for bias, time, diagonal, off in zip(biases, times, diagonals, offs):
-        energies, states = level_pair(diagonal, off, 0)
+        energies, states = level_pair(diagonal, off)
         elements = states.T @ (n_values[:, None] * states)
         off_element = elements[0, 1] ** 2
         diag = elements[0, 0] - elements[1, 1]

@@ -542,6 +542,11 @@ PHASE_LINE = (
 
 HUGE_EC = {"device": {"charging_energy": 1e308}}
 HUGE_EJ = {"device": {"josephson_energy_total": 1e308}}
+LARGE_EC = {"device": {"charging_energy": 1e305}}
+LARGER_EC = {"device": {"charging_energy": 1e307}}
+FAR_GATE = {"protocol": {"gate": {"offset": 1e200}}}
+WARNING_ARGVS = (["spectrum"], ["noise"], ["run", "--exact"],
+                 ["gibbs", "--exact", "--temperatures", "10"])
 
 
 @pytest.mark.filterwarnings("error")
@@ -573,10 +578,16 @@ HUGE_EJ = {"device": {"josephson_energy_total": 1e308}}
         # the flux sits at 1/2, where only the asymmetry's share of E_J is left
         (HUGE_EJ, ["gibbs", "--exact", "--temperatures", "10"],
          PHASE_LINE.format("7.4e+290")),
+        # diagonals that overflow in numpy, where 4*E_C alone is finite or
+        # the gate charge sits far out; refused without numpy's warning
+        *[(config, argv, "the Hamiltonian has a non-finite entry")
+          for config in (LARGE_EC, LARGER_EC, FAR_GATE) for argv in WARNING_ARGVS],
     ],
     ids=["run", "gibbs", "gibbs-bare", "spectrum", "microrev", "spectrum-josephson",
          "run-josephson", "run-sampled-josephson", "microrev-josephson",
-         "gibbs-josephson"],
+         "gibbs-josephson",
+         *[f"{config}-{argv[0]}" for config in ("ec-1e305", "ec-1e307", "gate-1e200")
+           for argv in WARNING_ARGVS]],
 )
 def test_overflowing_hamiltonian_exits_2(tmp_path, capsys, config, argv, line):
     cfg = _write_config(tmp_path, config)
@@ -598,6 +609,48 @@ def test_overflowing_waveform_argument_exits_2(tmp_path, capsys, command):
         "cpbsim: protocol.duration 1.79769e+308 makes the argument 2*pi*frequency*t "
         "+ phase of protocol.flux (frequency 1.5, phase 0) non-finite\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("josephson", [5e154, 1e200, 1e308])
+def test_noise_runs_at_huge_josephson_energy(tmp_path, capsys, josephson):
+    # dstevx scales T before bisecting, where bisection alone could not
+    # start; the levels delocalize over many charges, so <0|n|0> = <1|n|1>
+    cfg = _write_config(tmp_path, {"device": {"josephson_energy_total": josephson}})
+    out = tmp_path / "o"
+    assert main(["noise", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = _read_csv(out / "noise_trace.csv")
+    assert header == ["t_ns", "ratio", "t2_over_t1", "beta"] and len(rows) == 667
+    assert {(row[1], row[2]) for row in rows} == {("inf", "2")}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "noise", "run"])
+@pytest.mark.parametrize(
+    "protocol, line",
+    [
+        ({"flux": {"offset": 1e308}},
+         "protocol.flux offset 1e+308 and amplitude 0.5 allow a flux of 1e+308 flux "
+         "quanta, whose phase pi*flux overflows"),
+        ({"flux": {"amplitude": 1e308}},
+         "protocol.flux offset 0 and amplitude 1e+308 allow a flux of 1e+308 flux "
+         "quanta, whose phase pi*flux overflows"),
+        ({"family": "table", "table_path": "{table}"},
+         "the waveform table's flux_phi0 holds a flux of 1e+308 flux quanta, whose "
+         "phase pi*flux overflows"),
+    ],
+    ids=["offset", "amplitude", "table"],
+)
+def test_flux_with_overflowing_phase_exits_2(tmp_path, capsys, command, protocol, line):
+    table = tmp_path / "wave.csv"
+    table.write_text("t_ns,flux_phi0,n_g\n0,0.5,-1.95\n0.5,1e308,-1.95\n")
+    protocol = {k: v.format(table=table) if isinstance(v, str) else v
+                for k, v in protocol.items()}
+    cfg = _write_config(tmp_path, {"protocol": protocol})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cpbsim: {line}\n"
     assert not out.exists()
 
 

@@ -26,7 +26,7 @@ from cpbsim import _lapack, noise, propagate
 from cpbsim.cli import main
 from cpbsim.model import charge_labels, gauge_tridiagonal
 
-OPENBLAS = _lapack.BINDING["library"] != "scipy.linalg.lapack"
+OPENBLAS = _lapack.BINDING["library"] != "scipy.linalg.cython_lapack"
 # (eigh, eigvalsh, level_pair, binding) of the scipy fallback
 SCIPY = _lapack.resolve([])
 
@@ -64,20 +64,19 @@ def _same(ours, theirs):
 @pytest.mark.parametrize("forms", FORMS.values(), ids=FORMS.keys())
 def test_routines_match_scipy_bit_for_bit(forms):
     eigh, eigvalsh, level_pair, _ = SCIPY
-    n = forms[0][0].size
     for d, e in forms:
         d_in, e_in = d.copy(), e.copy()
         _same(_lapack.eigh(d, e), eigh(d, e))
         _same([_lapack.eigvalsh(d, e)], [eigvalsh(d, e)])
-        for k in sorted({0, 1, n // 2, n - 2}):
-            _same(_lapack.level_pair(d, e, k), level_pair(d, e, k))
+        _same(_lapack.level_pair(d, e), level_pair(d, e))
         assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
 
 
 def test_level_pair_ascends_across_split_blocks():
     # without tunneling T is diagonal, and every charge is a block of its
     # own. At gate charge -0.3 the lowest level is charge 0 and the next is
-    # charge -1, whose block comes first, so order "B" lists the upper first
+    # charge -1, whose block comes first, so dstebz's order "B" lists the
+    # upper first, and level_pair must sort the pair
     params = DeviceParams(josephson_energy_total=0.0)
     diagonals, offs, _ = gauge_tridiagonal(params, [BiasPoint(flux=0.25, gate_charge=-0.3)])
     d, e = diagonals[0], offs[0]
@@ -87,12 +86,28 @@ def test_level_pair_ascends_across_split_blocks():
     labels = list(charge_labels(params))
     expected = np.eye(d.size)[:, [labels.index(0), labels.index(-1)]]
     d_in, e_in = d.copy(), e.copy()
-    pairs = [_lapack.level_pair(d, e, 0), SCIPY[2](d, e, 0)]
+    pairs = [_lapack.level_pair(d, e), SCIPY[2](d, e)]
     for vals, z in pairs:
         assert vals[0] < vals[1]
         assert np.array_equal(np.abs(z), expected)
     _same(*pairs)
     assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
+
+
+@pytest.mark.parametrize("josephson", [5e154, 1e200, 1e308])
+def test_level_pair_at_huge_josephson_energy(josephson):
+    # T's norm lies beyond the range bisection starts from unscaled; dstevx
+    # scales it first
+    params = DeviceParams(josephson_energy_total=josephson)
+    protocol = DriveProtocol()
+    biases = [sample_drive(protocol, float(t))
+              for t in np.linspace(0.0, protocol.duration, 21)]
+    diagonals, offs, _ = gauge_tridiagonal(params, biases)
+    for d, e in zip(diagonals, offs):
+        vals, z = _lapack.level_pair(d, e)
+        _same((vals, z), SCIPY[2](d, e))
+        lowest = _lapack.eigvalsh(d, e)[:2]
+        assert np.all(np.abs(vals - lowest) <= 1e-15 * np.abs(lowest))
 
 
 def test_resolver_falls_back_to_scipy(tmp_path):
@@ -101,12 +116,18 @@ def test_resolver_falls_back_to_scipy(tmp_path):
     (tmp_path / "broken" / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
     eigh, eigvalsh, level_pair, binding = _lapack.resolve(
         [tmp_path / "empty", tmp_path / "broken"])
-    assert binding == {"library": "scipy.linalg.lapack", "corename": None, "config": None}
+    assert binding == {
+        "library": "scipy.linalg.cython_lapack", "corename": None, "config": None}
     assert {type(solve.__self__).__name__ for solve in (eigh, eigvalsh, level_pair)} == {
-        "_Scipy"}
+        "_Solves"}
     d, e = FORMS["drive-51"][0]
     _same(eigh(d, e), lapack.dstevd(d, e)[:2])
     _same([eigvalsh(d, e)], [lapack.dsterf(d, e)[0]])
+    # the pair through f2py's bisection and inverse iteration, sorted
+    _count, w, iblock, isplit, _info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 2, 0.0, "B")
+    z, _info = lapack.dstein(d, e, w[:2], iblock, isplit)
+    pair = np.argsort(w[:2], kind="stable")
+    _same(level_pair(d, e), (w[pair], z[:, pair]))
 
 
 @pytest.mark.skipif(not OPENBLAS, reason="numpy carries no bundled OpenBLAS LAPACK")
@@ -117,25 +138,19 @@ def test_binding_names_numpy_openblas():
     assert binding["config"].startswith("OpenBLAS ")
     *solves, again = _lapack.resolve(_lapack.numpy_library_dirs())
     assert again == binding
-    assert [type(solve.__self__).__name__ for solve in solves] == ["_OpenBLAS"] * 3
+    assert [type(solve.__self__).__name__ for solve in solves] == ["_Solves"] * 3
 
 
 @pytest.mark.parametrize("binding", ["numpy", "scipy"])
 @pytest.mark.parametrize("entries", [3, 5], ids=["n-2", "n"])
 def test_off_diagonal_of_the_wrong_length_raises(binding, entries):
-    if binding == "numpy":
-        if not OPENBLAS:
-            pytest.skip("numpy carries no bundled OpenBLAS LAPACK")
-        eigh, eigvalsh, level_pair = _lapack.eigh, _lapack.eigvalsh, _lapack.level_pair
-        message = f"e has {entries} entries, not 4"
-    else:
-        # f2py's own check of the wrapper's arguments
-        eigh, eigvalsh, level_pair, _ = SCIPY
-        message = "0-th dimension must be fixed to 4"
+    solves = _lapack.eigh, _lapack.eigvalsh, _lapack.level_pair
+    if binding == "scipy":
+        solves = SCIPY[:3]
     d, e = np.arange(5.0), np.ones(entries)
-    for solve, args in ((eigh, (d, e)), (eigvalsh, (d, e)), (level_pair, (d, e, 0))):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            solve(*args)
+    for solve in solves:
+        with pytest.raises(ValueError, match=re.escape(f"e has {entries} entries, not 4")):
+            solve(d, e)
 
 
 def test_routines_are_not_plain_functions():
@@ -177,18 +192,16 @@ def test_fallback_writes_the_same_payloads(monkeypatch, tmp_path, argv):
 
 
 # routine: (solve, a command whose first solve it fails, ctypes argument
-# position of its info). dstebz's eigenvalue count is its argument 10 and
-# the first of the f2py wrapper's outputs; info is the wrapper's last
+# position of its info). dstevx's eigenvalue count is its argument 10
 FAILURES = {
     "dstevd": ("eigh", ["run", "--exact", "--dt", "1e-3"], 10),
     "dsterf": ("eigvalsh", ["spectrum"], 3),
-    "dstebz": ("level_pair", ["noise"], 17),
-    "dstein": ("level_pair", ["noise"], 12),
+    "dstevx": ("level_pair", ["noise"], 17),
 }
 CASES = {
     f"{binding}-{routine}-{what}": (binding, routine, what)
     for binding in ("numpy", "scipy")
-    for routine, what in [(r, "info") for r in FAILURES] + [("dstebz", "count")]
+    for routine, what in [(r, "info") for r in FAILURES] + [("dstevx", "count")]
 }
 
 
@@ -198,45 +211,42 @@ def test_solve_failure_raises_and_command_exits_2(
 ):
     name, argv, info_arg = FAILURES[routine]
     value = 3 if what == "info" else 1
-    if binding == "numpy":
-        if not OPENBLAS:
-            pytest.skip("numpy carries no bundled OpenBLAS LAPACK")
-        solves = _lapack.eigh.__self__
-        real = getattr(solves, f"_{routine}")
-        position = info_arg if what == "info" else 10
-
-        def stand_in(*args):
-            # the real routine, then a value written through the byref it got
-            real(*args)
-            args[position]._obj.value = value
-
-        monkeypatch.setattr(solves, f"_{routine}", stand_in)
-    else:
-        real = getattr(lapack, routine)
-        position = -1 if what == "info" else 0
-
-        def stand_in(*args):
-            out = list(real(*args))
-            out[position] = value
-            return tuple(out)
-
-        monkeypatch.setattr(lapack, routine, stand_in)
+    solves = _lapack.eigh.__self__
+    if binding == "scipy":
+        solves = SCIPY[0].__self__
         _use_scipy(monkeypatch)
+    real = getattr(solves, f"_{routine}")
+    position = info_arg if what == "info" else 10
+
+    def stand_in(*args):
+        # the real routine, then a value written through the byref it got
+        real(*args)
+        args[position]._obj.value = value
+
+    monkeypatch.setattr(solves, f"_{routine}", stand_in)
     solve = getattr(noise if name == "level_pair" else propagate, name)
     if what == "info":
         message = f"LAPACK {routine} failed (info = 3)"
     else:
-        message = "LAPACK dstebz found 1 eigenvalues, not 2"
+        message = "LAPACK dstevx found 1 eigenvalues, not 2"
     d, e = FORMS["drive-51"][0]
     with pytest.raises(np.linalg.LinAlgError, match=re.escape(message)):
-        solve(d, e, 0) if name == "level_pair" else solve(d, e)
+        solve(d, e)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"cpbsim: {message}\n"
 
 
-def test_threads_give_serial_bits():
+def test_threads_give_serial_bits(monkeypatch):
+    # the fallback's thread safety rests on the same ctypes calls, so both
+    # bindings run, the package's own first
+    _assert_threads_give_serial_bits()
+    _use_scipy(monkeypatch)
+    _assert_threads_give_serial_bits()
+
+
+def _assert_threads_give_serial_bits():
     params = DeviceParams()
     config = PropagatorConfig(time_step=1e-3)
     forward = DriveProtocol()

@@ -215,7 +215,7 @@ def test_command_loads_no_scipy(tmp_path, argv):
     )
     assert (out / "manifest.json").exists()
     binding, modules = json.loads(done.stdout)
-    if binding["library"] == "scipy.linalg.lapack":
+    if binding["library"] == "scipy.linalg.cython_lapack":
         modules = [m for m in modules
                    if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.special"))]
     assert modules == [], binding
