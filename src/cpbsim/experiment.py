@@ -48,7 +48,6 @@ class PreparationEnsemble:
 
     probabilities: np.ndarray
     labels: np.ndarray
-    subspace: tuple
     subspace_mass: float
 
 
@@ -129,7 +128,6 @@ def prepare_ensemble(
     return PreparationEnsemble(
         probabilities=probabilities,
         labels=labels,
-        subspace=tuple(labels[rows].tolist()),
         # Python's sum adds in row order, unlike numpy's pairwise sum
         subspace_mass=float(sum(probabilities[rows])),
     )

@@ -77,7 +77,6 @@ class WorkDistribution:
 
     values: np.ndarray
     mass: np.ndarray
-    direction: str
     kind: str
     excluded_mass: float = 0.0
     n_events: int = 0
@@ -98,7 +97,6 @@ class BKEqualityResult:
 
     mean: float
     stderr: float
-    kind: str
     n_events: int = 0
 
 
@@ -125,7 +123,8 @@ def thermal_energy(temperature: float) -> float:
     return KB_OVER_HBAR * temperature
 
 
-def _endpoint_closed(protocol, tol: float = 1e-9) -> bool:
+def _endpoint_closed(protocol) -> bool:
+    tol = 1e-9
     start = sample_drive(protocol, 0.0)
     stop = sample_drive(protocol, protocol.duration)
     return (
@@ -260,7 +259,6 @@ def work_distribution_exact(
     return WorkDistribution(
         values=values[keep],
         mass=mass[keep] / total,
-        direction=trans.direction,
         kind=EXACT,
         excluded_mass=float(excluded),
     )
@@ -296,7 +294,6 @@ def sample_work(
     return WorkDistribution(
         values=values,
         mass=counts,
-        direction=trans.direction,
         kind=SAMPLED,
         n_events=n_events,
         n_discarded=n_events - int(pairs.sum()),
@@ -317,7 +314,7 @@ def bk_equality(dist: WorkDistribution, temperature: float) -> BKEqualityResult:
             for w, p in zip(dist.values, dist.mass)
             if p > 0.0
         ]
-        return BKEqualityResult(mean=math.fsum(terms), stderr=0.0, kind=EXACT)
+        return BKEqualityResult(mean=math.fsum(terms), stderr=0.0)
     n = int(dist.mass.sum())
     if n < 2:
         raise ValueError("need at least two sampled events")
@@ -329,7 +326,6 @@ def bk_equality(dist: WorkDistribution, temperature: float) -> BKEqualityResult:
     return BKEqualityResult(
         mean=mean,
         stderr=math.sqrt(var / n),
-        kind=SAMPLED,
         n_events=n,
     )
 

@@ -19,6 +19,7 @@ from cpbsim import (
     reverse_protocol,
     transition_matrix,
 )
+from cpbsim import _lapack
 
 _criterion_lines = []
 
@@ -28,6 +29,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _criterion_lines:
             terminalreporter.write_line(line)
+    # the library, kernel set and build the byte pins ran under
+    terminalreporter.section("lapack")
+    terminalreporter.write_line(f"binding:  {_lapack.BINDING}")
+    terminalreporter.write_line(f"fallback: {_lapack.resolve([])[3]}")
 
 
 @pytest.fixture(scope="session")

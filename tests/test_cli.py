@@ -37,9 +37,13 @@ def _read_json(path):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"bogus": 1})
-    code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["spectrum", "--config", cfg, "--out", str(out)])
     assert code == 2
-    assert "bogus" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "cpbsim: unknown config key(s) in config: ['bogus']\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_charges", [1, 3])
@@ -47,20 +51,31 @@ def test_device_rule_is_the_config_rule(tmp_path, capsys, n_charges):
     cfg = _write_config(tmp_path, {"device": {"n_charges": n_charges}})
     out = tmp_path / "o"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
-    assert "n_charges must be odd and >= 5" in capsys.readouterr().err
+    assert capsys.readouterr().err == "cpbsim: n_charges must be odd and >= 5\n"
     assert not out.exists()
 
 
-def test_missing_config_file_exits_2(tmp_path):
-    code = main(["spectrum", "--config", str(tmp_path / "nope.json")])
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    out = tmp_path / "o"
+    code = main(["spectrum", "--config", str(path), "--out", str(out)])
     assert code == 2
+    assert capsys.readouterr().err == (
+        f"cpbsim: [Errno 2] No such file or directory: '{path}'\n"
+    )
+    assert not out.exists()
 
 
-def test_bad_temperatures_flag_exits_2(tmp_path):
-    code = main(["gibbs", "--temperatures", "ten", "--out", str(tmp_path / "o")])
-    assert code == 2
-    code = main(["gibbs", "--temperatures", "-5", "--out", str(tmp_path / "o")])
-    assert code == 2
+def test_bad_temperatures_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    for value, line in (
+        ("ten", "bad --temperatures value: 'ten'"),
+        ("-5", "temperatures_k entries must be positive"),
+    ):
+        code = main(["gibbs", "--temperatures", value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"cpbsim: {line}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -72,9 +87,11 @@ def test_bad_temperatures_flag_exits_2(tmp_path):
         ({}, ["gibbs", "--exact", "--temperatures", "inf"]),
         # the duration over the smallest subnormal step is inf steps
         ({}, ["run", "--exact", "--dt", "5e-324"]),
+        # 10,101,011 steps, more than propagate.MAX_STEPS
+        ({}, ["run", "--exact", "--dt", "6.6e-8"]),
     ],
     ids=["config-nan", "config-int-overflow", "temperature-nan", "temperature-inf",
-         "step-count"],
+         "step-count", "step-count-bound"],
 )
 def test_non_finite_values_exit_2(tmp_path, capsys, mapping, argv):
     # Python's json reads NaN and Infinity, so the config layer must refuse them
@@ -461,32 +478,27 @@ def test_override_flag_messages(mapping, flags, message):
 
 
 def test_gibbs_refuses_repeated_tags_before_propagating(tmp_path, capsys, monkeypatch):
-    def no_propagation(*args, **kwargs):
-        pytest.fail("gibbs propagated before refusing a repeated temperature tag")
-
-    monkeypatch.setattr(cpbsim.cli, "run_protocol", no_propagation)
+    calls = _count_propagations(monkeypatch)
     out = tmp_path / "o"
     code = main(["gibbs", "--exact", "--temperatures", "10,10", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err == "cpbsim: two outputs of this run are named work_forward_T10K.csv\n"
     assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["run", "microrev", "gibbs"])
 def test_out_of_basis_subspace_refused_before_propagating(
     tmp_path, capsys, monkeypatch, command
 ):
-    def no_propagation(*args, **kwargs):
-        pytest.fail(f"{command} propagated before refusing the subspace")
-
-    monkeypatch.setattr(cpbsim.cli, "evolve", no_propagation)
-    monkeypatch.setattr(cpbsim.cli, "run_protocol", no_propagation)
+    calls = _count_propagations(monkeypatch)
     cfg = _write_config(tmp_path, {"subspace": [100]})
     out = tmp_path / "o"
     assert main([command, "--exact", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "cpbsim: charge label 100 outside basis\n"
     assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("temperatures", ["10,10", "10,10.0000001"])
@@ -682,8 +694,10 @@ def test_config_reader_shared_by_cli_and_loader(tmp_path, capsys, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as excinfo:
         config_from_mapping(read_mapping(path))
-    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cpbsim: {excinfo.value}\n"
+    assert not out.exists()
 
 
 def test_spectrum_outputs_and_manifest(tmp_path):
@@ -1149,14 +1163,19 @@ def test_relative_table_path_echo_runs_from_another_directory(tmp_path, monkeypa
     assert (first / "spectrum.csv").read_bytes() == (second / "spectrum.csv").read_bytes()
 
 
-def test_waveform_table_rejects_duration(tmp_path):
+def test_waveform_table_rejects_duration(tmp_path, capsys):
     table = tmp_path / "wave.csv"
     table.write_text("t_ns,flux_phi0,n_g\n0,0.5,-1.95\n0.5,0.5,-1.95\n")
     cfg = _write_config(
         tmp_path,
         {"protocol": {"family": "table", "table_path": str(table), "duration": 1.0}},
     )
-    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "cpbsim: a waveform table defines its own duration\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from cpbsim import (
     unitarity_defect,
 )
 from cpbsim import propagate
-from cpbsim.propagate import _grid
+from cpbsim.propagate import MAX_STEPS, _grid
 
 from _dense import build_hamiltonian, eigensystem, step_unitary
 
@@ -94,6 +94,17 @@ def test_evolve_matches_dense_route(params, protocol, direction, window):
     u = evolve(params, prot, COARSE, t_start, t_stop)
     reference = _dense_evolve(params, prot, COARSE.time_step, t_start, t_stop)
     assert np.max(np.abs(u - reference)) < 1e-12
+
+
+def test_grid_takes_at_most_max_steps():
+    # a binary step, so that each span below is exact; nothing is propagated
+    dt = 2.0**-10
+    assert _grid(MAX_STEPS * dt, dt) == (MAX_STEPS, 0.0)
+    assert _grid((MAX_STEPS - 0.5) * dt, dt) == (MAX_STEPS - 1, 0.5 * dt)
+    # one full step more, or a remainder step after MAX_STEPS full ones
+    for span in ((MAX_STEPS + 1) * dt, (MAX_STEPS + 0.5) * dt):
+        with pytest.raises(ValueError, match=f"finite and at most {MAX_STEPS}$"):
+            _grid(span, dt)
 
 
 def _random_device_and_protocol(rng, case):

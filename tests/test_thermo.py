@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from cpbsim import (
-    BACKWARD,
-    FORWARD,
     KB_OVER_HBAR,
     DriveProtocol,
     Waveform,
@@ -81,7 +79,6 @@ def test_exact_distribution_normalized(ladder, trans_forward):
     weights = gibbs_weights(ladder, 10.0)
     dist = work_distribution_exact(weights, trans_forward, ladder)
     assert dist.kind == EXACT
-    assert dist.direction == FORWARD
     assert dist.mass.sum() == pytest.approx(1.0, abs=1e-12)
     assert 0.0 < dist.excluded_mass < 1e-3
     assert dist.mass.min() >= ATOM_MASS_FLOOR
@@ -115,7 +112,6 @@ def test_bk_equality_exact_matches_direct_sum(ladder, trans_forward):
     direct = float(np.dot(dist.mass, np.exp(-dist.values / thermal_energy(10.0))))
     assert result.mean == pytest.approx(direct, rel=1e-14)
     assert result.stderr == 0.0
-    assert result.kind == EXACT
 
 
 @pytest.mark.parametrize("temperature", [1.0, 10.0, 50.0])
@@ -168,7 +164,6 @@ def test_bk_equality_sampled_close_to_unity(ladder, trans_forward):
     weights = gibbs_weights(ladder, 10.0)
     sampled = sample_work(weights, trans_forward, ladder, 100_000, seed=5)
     result = bk_equality(sampled, 10.0)
-    assert result.kind == SAMPLED
     assert result.n_events == 100_000 - sampled.n_discarded
     assert abs(result.mean - 1.0) < 5.0 * result.stderr + 1e-3
 
@@ -196,7 +191,6 @@ def test_bk_equality_sampled_matches_closed_form():
     dist = WorkDistribution(
         values=np.array(values),
         mass=np.array(counts),
-        direction=FORWARD,
         kind=SAMPLED,
         n_events=4,
     )
@@ -215,7 +209,6 @@ def test_bk_equality_rejects_single_event(ladder, trans_forward):
     dist = WorkDistribution(
         values=np.array([0.0]),
         mass=np.array([1]),
-        direction=FORWARD,
         kind=SAMPLED,
         n_events=1,
     )
@@ -227,13 +220,11 @@ def test_bk_ratio_check_synthetic():
     fwd = WorkDistribution(
         values=np.array([-1.0, 0.0, 1.0]),
         mass=np.array([0.2, 0.5, 0.3]),
-        direction=FORWARD,
         kind=EXACT,
     )
     bwd = WorkDistribution(
         values=np.array([-1.0, 0.0, 1.0]),
         mass=np.array([0.6, 0.4, 0.0]),
-        direction=BACKWARD,
         kind=EXACT,
     )
     kt = thermal_energy(2.0)
