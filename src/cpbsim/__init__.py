@@ -22,7 +22,6 @@ from .drive import (
     sample_drive,
 )
 from .experiment import (
-    ExperimentSample,
     MicrorevReport,
     PreparationEnsemble,
     TransitionMatrix,

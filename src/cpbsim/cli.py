@@ -284,9 +284,9 @@ def cmd_run(cfg: RunConfig, out: _OutputSet) -> int:
         out.write("preparation.csv", [["label", "probability"]] + rows)
         report["subspace_mass"] = prep.subspace_mass
         if cfg.mode != EXACT:
-            sample = sample_experiment(prep, trans, cfg.events, cfg.seed)
-            out.write("counts.csv", _matrix_rows(sample.counts, sample.labels))
-            report["events"] = sample.n_events
+            counts = sample_experiment(prep, trans, cfg.events, cfg.seed)
+            out.write("counts.csv", _matrix_rows(counts, trans.labels))
+            report["events"] = cfg.events
     out.write("run_report.json", report)
     return EXIT_OK
 
@@ -386,7 +386,7 @@ def cmd_gibbs(cfg: RunConfig, out: _OutputSet) -> int:
             "ladder": {
                 "labels": ladder.labels.tolist(),
                 "energies": ladder.energies.tolist(),
-                "bare": ladder.bare,
+                "bare": cfg.bare_ladder,
             },
             "table": table,
         },

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Tuple, Union
 
 from .drive import DriveProtocol, TabulatedProtocol, load_waveform_table
+from .experiment import MAX_EVENTS
 from .model import DEFAULT_SUBSPACE, DeviceParams, charge_labels, label_rows
 from .noise import DEFAULT_BATH_TEMPERATURE, DetectorParams
 from .propagate import PropagatorConfig
@@ -193,6 +194,8 @@ class RunConfig:
             raise ValueError("temperatures_k entries must be positive")
         if self.events < 1:
             raise ValueError("config key 'events' must be >= 1")
+        if self.events > MAX_EVENTS:
+            raise ValueError(f"config key 'events' must be finite and at most {MAX_EVENTS}")
         if self.seed < 0:
             raise ValueError("config key 'seed' must be >= 0")
         if self.seed >= 2**64:
@@ -206,6 +209,10 @@ class RunConfig:
         for key in ("spectrum_samples", "trace_samples"):
             if getattr(self, key) < 2:
                 raise ValueError(f"config key {key!r} must be >= 2")
+            # more float64 times than an array can address; near 2**63,
+            # numpy's linspace fails with an IndexError instead of refusing
+            if getattr(self, key) > 2**60:
+                raise ValueError(f"config key {key!r} must be at most 2**60")
 
     def resolved(self) -> dict:
         """Defaults-applied echo; re-ingesting it reproduces this config."""

@@ -10,7 +10,7 @@ pair is from that identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,10 @@ from .propagate import PropagatorConfig, _frozen_eigh, evolve
 #: its own generator spawned from the seed, so the size is part of which
 #: events a fixed seed produces.
 EVENT_PARTITION = 250_000
+
+#: Most events one sampler call draws: 14-18 min at 8.5-11 ns per event
+#: on a 2-vCPU x86-64 host, and 10**5 times the default 10**6 events.
+MAX_EVENTS = 10**11
 
 
 @dataclass(frozen=True)
@@ -49,19 +53,6 @@ class PreparationEnsemble:
     probabilities: np.ndarray
     labels: np.ndarray
     subspace_mass: float
-
-
-@dataclass(frozen=True)
-class ExperimentSample:
-    """Seeded batch of two-point events, stored as outcome counts.
-
-    ``counts[m_idx, n_idx]`` is the number of events with first label
-    ``labels[n_idx]`` and second label ``labels[m_idx]``.
-    """
-
-    counts: np.ndarray = field(repr=False)
-    labels: np.ndarray
-    n_events: int
 
 
 @dataclass(frozen=True)
@@ -287,8 +278,12 @@ def sample_experiment(
     trans: TransitionMatrix,
     n_events: int,
     seed: int,
-) -> ExperimentSample:
+) -> np.ndarray:
     """Count seeded two-point measurement events.
+
+    Returns the int64 counts ``[m_idx, n_idx]``: the number of events with
+    first label ``trans.labels[n_idx]`` and second label
+    ``trans.labels[m_idx]``.
 
     The first outcome follows the preparation distribution, the second the
     matching transition-matrix column. Events are counted in the seeded
@@ -298,15 +293,14 @@ def sample_experiment(
     generator (see :func:`_pair_counts`). The scratch memory is one draw
     block and mask, whatever ``n_events``.
     """
-    if n_events <= 0:
-        raise ValueError("n_events must be positive")
+    if not 0 < n_events <= MAX_EVENTS:
+        raise ValueError(f"n_events must be positive and at most {MAX_EVENTS}")
     if prep.probabilities.size != trans.labels.size:
         raise ValueError("preparation and transition matrix bases differ")
     columns = trans.matrix / trans.matrix.sum(axis=0, keepdims=True)
     probs = prep.probabilities / prep.probabilities.sum()
     rows = np.arange(trans.labels.size)
-    counts = _pair_counts(partition_seeds(seed, n_events), probs, columns, rows)
-    return ExperimentSample(counts=counts.T, labels=trans.labels, n_events=n_events)
+    return _pair_counts(partition_seeds(seed, n_events), probs, columns, rows).T
 
 
 def microrev_deviation(

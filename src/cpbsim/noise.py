@@ -91,8 +91,6 @@ def _t2_from_tphi(tphi_over_t1: float) -> float:
     # T_2^-1 = T_1^-1/2 + T_phi^-1 in units of T_1
     if tphi_over_t1 == 0.0:
         return 0.0
-    if math.isinf(tphi_over_t1):
-        return 2.0
     return 1.0 / (0.5 + 1.0 / tphi_over_t1)
 
 

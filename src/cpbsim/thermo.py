@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drive import sample_drive
-from .experiment import TransitionMatrix, _pair_counts, partition_seeds
+from .experiment import MAX_EVENTS, TransitionMatrix, _pair_counts, partition_seeds
 from .model import (
     DEFAULT_SUBSPACE,
     KB_OVER_HBAR,
@@ -32,6 +32,8 @@ from .propagate import _frozen_eigh
 WORK_DEDUP_TOL = 1e-9
 
 #: Each ladder label's H(0) eigenstate must put at least this weight on it.
+#: Above 1/2 this also makes the mapping a bijection: a unit eigenvector's
+#: squared entries sum to 1, so no eigenstate puts this weight on two labels.
 MIN_OVERLAP = 0.99
 
 #: Atoms below this mass are unpopulated: the pairwise Boltzmann products
@@ -54,7 +56,6 @@ class EnergyLadder:
     labels: np.ndarray
     energies: np.ndarray
     overlaps: np.ndarray
-    bare: bool = False
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class WorkDistribution:
     mass: np.ndarray
     kind: str
     excluded_mass: float = 0.0
-    n_events: int = 0
     n_discarded: int = 0
 
     def probabilities(self) -> np.ndarray:
@@ -166,7 +166,6 @@ def energy_ladder(
             labels=labels,
             energies=diagonals[0][rows],
             overlaps=np.ones(labels.size),
-            bare=True,
         )
     levels, states = _frozen_eigh(params, protocol)
     weight = np.abs(states) ** 2
@@ -180,8 +179,6 @@ def energy_ladder(
         raise ValueError(
             "ambiguous charge-to-eigenstate mapping: " + ", ".join(worst)
         )
-    if np.unique(assigned).size != assigned.size:
-        raise ValueError("charge-to-eigenstate mapping is not a bijection")
     return EnergyLadder(
         labels=labels, energies=levels[assigned], overlaps=overlaps
     )
@@ -279,8 +276,8 @@ def sample_work(
     stream are those of :func:`cpbsim.experiment.sample_experiment`, with
     first labels indexed in ladder order.
     """
-    if n_events < 1:
-        raise ValueError("n_events must be positive")
+    if not 0 < n_events <= MAX_EVENTS:
+        raise ValueError(f"n_events must be positive and at most {MAX_EVENTS}")
     if not np.array_equal(weights.labels, ladder.labels):
         raise ValueError("weights and ladder cover different labels")
     cols = label_rows(trans.labels, ladder.labels)
@@ -295,7 +292,6 @@ def sample_work(
         values=values,
         mass=counts,
         kind=SAMPLED,
-        n_events=n_events,
         n_discarded=n_events - int(pairs.sum()),
     )
 

@@ -14,7 +14,7 @@ import cpbsim._lapack
 import cpbsim.cli
 import cpbsim.config
 import cpbsim.experiment
-from cpbsim.cli import main
+from cpbsim.cli import _OutputSet, main
 from cpbsim.config import RunConfig, config_from_mapping, read_mapping
 from cpbsim.drive import TabulatedProtocol
 from cpbsim.experiment import _DRAW_BLOCK, EVENT_PARTITION, partition_seeds
@@ -89,9 +89,13 @@ def test_bad_temperatures_flag_exits_2(tmp_path, capsys):
         ({}, ["run", "--exact", "--dt", "5e-324"]),
         # 10,101,011 steps, more than propagate.MAX_STEPS
         ({}, ["run", "--exact", "--dt", "6.6e-8"]),
+        # more events than experiment.MAX_EVENTS, refused before a draw
+        ({}, ["run", "--sampled", "--dt", "1e-3", "--events", str(2**63 - 1)]),
+        ({}, ["gibbs", "--sampled", "--events", str(10**11 + 1)]),
     ],
     ids=["config-nan", "config-int-overflow", "temperature-nan", "temperature-inf",
-         "step-count", "step-count-bound"],
+         "step-count", "step-count-bound", "event-count-bound-run",
+         "event-count-bound-gibbs"],
 )
 def test_non_finite_values_exit_2(tmp_path, capsys, mapping, argv):
     # Python's json reads NaN and Infinity, so the config layer must refuse them
@@ -325,6 +329,10 @@ MALFORMED_CONFIGS = {
     ),
     "events-type": ({"events": 1.5}, "config key 'events' must be an integer"),
     "events-value": ({"events": 0}, "config key 'events' must be >= 1"),
+    "events-bound": (
+        {"events": 10**11 + 1},
+        "config key 'events' must be finite and at most 100000000000",
+    ),
     "seed-type": ({"seed": "x"}, "config key 'seed' must be an integer"),
     "seed-value": ({"seed": -1}, "config key 'seed' must be >= 0"),
     "seed-value-64bit": ({"seed": 2**64}, "seed must fit in 64 bits"),
@@ -359,11 +367,19 @@ MALFORMED_CONFIGS = {
     "spectrum_samples-value": (
         {"spectrum_samples": 1}, "config key 'spectrum_samples' must be >= 2"
     ),
+    # numpy's linspace raised IndexError at this count
+    "spectrum_samples-bound": (
+        {"spectrum_samples": 2**63 - 1},
+        "config key 'spectrum_samples' must be at most 2**60",
+    ),
     "trace_samples-type": (
         {"trace_samples": 2.0}, "config key 'trace_samples' must be an integer"
     ),
     "trace_samples-value": (
         {"trace_samples": 1}, "config key 'trace_samples' must be >= 2"
+    ),
+    "trace_samples-bound": (
+        {"trace_samples": 2**63 - 1}, "config key 'trace_samples' must be at most 2**60"
     ),
     "output_dir-type": ({"output_dir": 1}, "config key 'output_dir' must be a string"),
     "unknown-key": (
@@ -510,6 +526,14 @@ def test_colliding_output_names_exit_2(tmp_path, capsys, temperatures):
     assert code == 2
     assert "work_forward_T10K.csv" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_output_set_refuses_a_repeated_name(tmp_path):
+    # cmd_gibbs refuses repeated tags before it writes, so no command gets here
+    out = _OutputSet(str(tmp_path / "o"))
+    out.write("bk_table.csv", [["a"]])
+    with pytest.raises(ValueError, match="^two outputs of this run are named bk_table.csv$"):
+        out.write("bk_table.csv", [["a"]])
 
 
 @pytest.mark.parametrize(

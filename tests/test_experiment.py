@@ -6,6 +6,7 @@ from cpbsim import (
     DEFAULT_SUBSPACE,
     FORWARD,
     DeviceParams,
+    PreparationEnsemble,
     PropagatorConfig,
     TransitionMatrix,
     derive_seed,
@@ -18,7 +19,7 @@ from cpbsim import (
     stochasticity_defect,
     transition_matrix,
 )
-from cpbsim.experiment import EVENT_PARTITION
+from cpbsim.experiment import EVENT_PARTITION, MAX_EVENTS
 
 from _golden import PREPARATION_PROBS, SUBSPACE_MASS
 
@@ -42,6 +43,17 @@ def test_identity_without_tunneling(protocol):
     u = evolve(frozen, protocol, PropagatorConfig(1e-3))
     trans = transition_matrix(u, np.arange(-25, 26))
     np.testing.assert_allclose(trans.matrix, np.eye(51), atol=1e-24)
+
+
+def test_transition_matrix_refuses_bad_input():
+    labels = np.arange(-1, 2)
+    with pytest.raises(ValueError, match="^unknown direction 'sideways'$"):
+        transition_matrix(np.eye(3), labels, "sideways")
+    for u in (np.eye(5), np.ones((3, 2))):
+        with pytest.raises(
+            ValueError, match="^propagator shape does not match label count$"
+        ):
+            transition_matrix(u, labels)
 
 
 def test_subspace_leakage_shape(trans_forward):
@@ -74,6 +86,13 @@ def test_microrev_deviation_against_manual_arithmetic():
 def test_microrev_deviation_validates_directions(trans_forward):
     with pytest.raises(ValueError):
         microrev_deviation(trans_forward, trans_forward)
+
+
+def test_microrev_deviation_refuses_mismatched_shapes():
+    fwd = TransitionMatrix(matrix=np.eye(5), labels=np.arange(-2, 3), direction=FORWARD)
+    bwd = TransitionMatrix(matrix=np.eye(3), labels=np.arange(-1, 2), direction=BACKWARD)
+    with pytest.raises(ValueError, match="^transition matrices have mismatched shapes$"):
+        microrev_deviation(fwd, bwd)
 
 
 def test_repeated_subspace_label_is_refused(trans_forward, trans_backward):
@@ -154,16 +173,16 @@ def test_sample_experiment_reproducible(preparation, trans_forward):
     a = sample_experiment(preparation, trans_forward, 2000, seed=42)
     b = sample_experiment(preparation, trans_forward, 2000, seed=42)
     c = sample_experiment(preparation, trans_forward, 2000, seed=43)
-    assert np.array_equal(a.counts, b.counts)
-    assert not np.array_equal(a.counts, c.counts)
-    assert a.counts.sum() == a.n_events == 2000
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.dtype == np.int64 and a.sum() == 2000
 
 
 def test_sample_experiment_marginals_match_preparation(preparation, trans_forward):
     n = 200_000
     sample = sample_experiment(preparation, trans_forward, n, seed=7)
-    first_counts = sample.counts.sum(axis=0).astype(float)
-    labels = list(sample.labels)
+    first_counts = sample.sum(axis=0).astype(float)
+    labels = list(trans_forward.labels)
     for lab, p in PREPARATION_PROBS.items():
         freq = first_counts[labels.index(lab)] / n
         sigma = np.sqrt(p * (1.0 - p) / n)
@@ -173,3 +192,10 @@ def test_sample_experiment_marginals_match_preparation(preparation, trans_forwar
 def test_sample_experiment_validation(preparation, trans_forward):
     with pytest.raises(ValueError):
         sample_experiment(preparation, trans_forward, 0, seed=1)
+    with pytest.raises(
+        ValueError, match=f"^n_events must be positive and at most {MAX_EVENTS}$"
+    ):
+        sample_experiment(preparation, trans_forward, MAX_EVENTS + 1, seed=1)
+    five = PreparationEnsemble(np.full(5, 0.2), np.arange(-2, 3), subspace_mass=1.0)
+    with pytest.raises(ValueError, match="^preparation and transition matrix bases differ$"):
+        sample_experiment(five, trans_forward, 10, seed=1)

@@ -2,6 +2,7 @@
 scipy fallback, failures raise and exit 2 through both bindings, and
 per-thread buffers."""
 
+import ctypes.util
 import inspect
 import json
 import re
@@ -139,6 +140,11 @@ def test_binding_names_numpy_openblas():
     *solves, again = _lapack.resolve(_lapack.numpy_library_dirs())
     assert again == binding
     assert [type(solve.__self__).__name__ for solve in solves] == ["_Solves"] * 3
+
+
+def test_openblas_text_of_a_library_without_it():
+    libc = ctypes.CDLL(ctypes.util.find_library("c"))
+    assert _lapack._openblas_text(libc, "corename") is None
 
 
 @pytest.mark.parametrize("binding", ["numpy", "scipy"])

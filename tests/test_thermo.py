@@ -7,6 +7,7 @@ import pytest
 from cpbsim import (
     KB_OVER_HBAR,
     DriveProtocol,
+    GibbsWeights,
     Waveform,
     WorkDistribution,
     bk_equality,
@@ -17,6 +18,7 @@ from cpbsim import (
     thermal_energy,
     work_distribution_exact,
 )
+from cpbsim.experiment import MAX_EVENTS
 from cpbsim.thermo import ATOM_MASS_FLOOR, EXACT, SAMPLED, WORK_DEDUP_TOL
 
 
@@ -30,7 +32,6 @@ def test_thermal_energy_scale():
 def test_ladder_is_clean_bijection(ladder):
     assert np.array_equal(ladder.labels, np.arange(-2, 3))
     assert np.all(ladder.overlaps > 0.999)
-    assert not ladder.bare
     # gate starts at -1.95, so n = -2 sits at the bottom of the parabola
     assert ladder.energies[ladder.labels == -2][0] == ladder.energies.min()
 
@@ -40,7 +41,6 @@ def test_bare_ladder_is_charging_parabola(params, protocol):
     expected = 4.0 * params.charging_energy * (bare.labels + 1.95) ** 2
     np.testing.assert_allclose(bare.energies, expected, rtol=1e-12)
     assert np.all(bare.overlaps == 1.0)
-    assert bare.bare
 
 
 def test_ladder_tracks_tunneling_shift(params, protocol, ladder):
@@ -138,7 +138,7 @@ def test_sample_work_reproducible(ladder, trans_forward):
     assert np.array_equal(a.mass, b.mass)
     assert not np.array_equal(a.mass, c.mass)
     assert a.kind == SAMPLED
-    assert int(a.mass.sum()) + a.n_discarded == a.n_events == 5000
+    assert int(a.mass.sum()) + a.n_discarded == 5000
 
 
 def test_sample_work_shares_exact_grid(ladder, trans_forward):
@@ -153,7 +153,7 @@ def test_sample_work_frequencies_match_exact(ladder, trans_forward):
     weights = gibbs_weights(ladder, 10.0)
     exact = work_distribution_exact(weights, trans_forward, ladder)
     sampled = sample_work(weights, trans_forward, ladder, 100_000, seed=5)
-    kept = sampled.n_events - sampled.n_discarded
+    kept = 100_000 - sampled.n_discarded
     freq = {round(w, 6): c / kept for w, c in zip(sampled.values, sampled.mass)}
     for w, p in zip(exact.values, exact.mass):
         sigma = math.sqrt(p * (1.0 - p) / kept)
@@ -192,7 +192,6 @@ def test_bk_equality_sampled_matches_closed_form():
         values=np.array(values),
         mass=np.array(counts),
         kind=SAMPLED,
-        n_events=4,
     )
     result = bk_equality(dist, 10.0)
     factors = [math.exp(-w / kt) for w in values]
@@ -210,10 +209,33 @@ def test_bk_equality_rejects_single_event(ladder, trans_forward):
         values=np.array([0.0]),
         mass=np.array([1]),
         kind=SAMPLED,
-        n_events=1,
     )
     with pytest.raises(ValueError):
         bk_equality(dist, 10.0)
+
+
+def test_empty_sampled_distribution_has_no_probabilities():
+    dist = WorkDistribution(values=np.array([0.0]), mass=np.array([0]), kind=SAMPLED)
+    with pytest.raises(ValueError, match="^sampled distribution holds no events$"):
+        dist.probabilities()
+
+
+def test_work_statistics_refuse_weights_of_other_labels(ladder, trans_forward):
+    weights = GibbsWeights(labels=np.arange(-1, 2), weights=np.full(3, 1.0 / 3.0))
+    message = "^weights and ladder cover different labels$"
+    with pytest.raises(ValueError, match=message):
+        work_distribution_exact(weights, trans_forward, ladder)
+    with pytest.raises(ValueError, match=message):
+        sample_work(weights, trans_forward, ladder, 10, seed=1)
+
+
+@pytest.mark.parametrize("n_events", [0, MAX_EVENTS + 1])
+def test_sample_work_refuses_event_count(ladder, trans_forward, n_events):
+    weights = gibbs_weights(ladder, 10.0)
+    with pytest.raises(
+        ValueError, match=f"^n_events must be positive and at most {MAX_EVENTS}$"
+    ):
+        sample_work(weights, trans_forward, ladder, n_events, seed=1)
 
 
 def test_bk_ratio_check_synthetic():

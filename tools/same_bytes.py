@@ -4,8 +4,8 @@
 
 Runs a fixed matrix of cpbsim commands on the working tree and on REV and
 compares the sha256 of every payload that each command's ``manifest.json``
-lists under ``outputs``. REV is checked out with ``git worktree add
---detach`` into a temporary directory, which is removed afterwards. Each
+lists under ``outputs``. REV is extracted with ``git archive`` into a
+temporary directory, which is removed afterwards. Each
 tree runs all commands in one fresh interpreter that imports cpbsim from
 the tree's own ``src``, with ``OPENBLAS_NUM_THREADS=1`` and no bytecode
 written. The matrix: ``spectrum``, ``noise``, ``run --exact``, ``run
@@ -19,11 +19,12 @@ partition and a partition boundary crossed), ``run --exact --dt 1e-3`` on
 ``{"protocol": {"direction": "backward"}}`` (``run`` without preparation or
 counts), and ``run --exact --dt 1e-3`` and ``gibbs --exact --dt 1e-3`` on a
 waveform table of the default drive, 201 rows over t in [0, 2/3] that the
-tool writes into its temporary directory.
+tool writes into its temporary directory, and ``microrev --dt 1e-3
+--no-flux-inversion``, a broken reversal that exits 3 with its payloads.
 
 Prints one line per payload whose digest differs. Exit status: 0 when every
-command's outputs are equal, 1 on a difference, 2 when a command or a
-checkout fails.
+command's outputs are equal, 1 on a difference, 2 when a checkout fails, or
+a command exits other than 0 or 3, or with other codes on the two trees.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ COMMANDS = (
     ["gibbs", "--sampled", "--dt", "1e-3", "--events", "250017"],
 )
 
+# Exits 3, so the threshold path's payloads are compared too.
+BROKEN_REVERSAL = ["microrev", "--dt", "1e-3", "--no-flux-inversion"]
+
 # Runs in the tree's interpreter: argv[1] is a JSON list of [label, argv,
 # out]; prints {label: [exit code, manifest outputs or None]} and where
 # cpbsim was imported from.
@@ -63,7 +67,7 @@ results = {}
 for label, argv, out in json.loads(sys.argv[1]):
     code = main(argv + ["--out", out])
     outputs = None
-    if code == 0:
+    if code in (0, 3):
         with open(out + "/manifest.json", encoding="utf-8") as fh:
             outputs = json.load(fh)["outputs"]
     results[label] = [code, outputs]
@@ -114,6 +118,7 @@ def matrix(tmp: Path):
         path = tmp / f"config{i}.json"
         path.write_text(json.dumps(config) + "\n", encoding="utf-8")
         runs.append([f"{name}: {' '.join(argv)}", [*argv, "--config", str(path)]])
+    runs.append([" ".join(BROKEN_REVERSAL), BROKEN_REVERSAL])
     return runs
 
 
@@ -148,7 +153,7 @@ def compare(runs, here, there, rev: str) -> int:
     failed = differ = 0
     for label, _argv in runs:
         (code_here, out_here), (code_there, out_there) = here[label], there[label]
-        if code_here or code_there:
+        if code_here not in (0, 3) or code_here != code_there:
             print(f"FAILED {label}: exit {code_here} here, {code_there} at {rev}")
             failed += 1
             continue
@@ -175,17 +180,18 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         runs = matrix(tmp)
         checkout = tmp / "rev"
+        checkout.mkdir()
         try:
             rev = git("rev-parse", "--short", f"{args.against}^{{commit}}")
-            git("worktree", "add", "--detach", "--quiet", str(checkout), rev)
+            archive = subprocess.run(
+                ["git", "-C", str(ROOT), "archive", rev], check=True, stdout=subprocess.PIPE
+            ).stdout
+            subprocess.run(["tar", "-x", "-C", str(checkout)], input=archive, check=True)
         except subprocess.CalledProcessError as exc:
             print(f"same_bytes: cannot check out {args.against}: {exc}")
             return 2
-        try:
-            here = run_tree(ROOT, runs, tmp / "here")
-            there = None if here is None else run_tree(checkout, runs, tmp / "there")
-        finally:
-            git("worktree", "remove", "--force", str(checkout))
+        here = run_tree(ROOT, runs, tmp / "here")
+        there = None if here is None else run_tree(checkout, runs, tmp / "there")
     if here is None or there is None:
         return 2
     return compare(runs, here, there, rev)
