@@ -25,6 +25,7 @@ import sys
 import tempfile
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -253,8 +254,8 @@ def _matrix_rows(matrix: np.ndarray, labels: np.ndarray):
 def cmd_spectrum(cfg: RunConfig, out: _OutputSet) -> int:
     trace = spectrum_trace(cfg.device, cfg.protocol, cfg.spectrum_samples)
     header = ["t_ns"] + [f"e{k:02d}" for k in range(cfg.device.n_charges)]
-    rows = np.column_stack((trace.times, trace.energies)).tolist()
-    out.write("spectrum.csv", [header] + rows)
+    table = np.column_stack((trace.times, trace.energies))
+    out.write("spectrum.csv", chain([header], (row.tolist() for row in table)))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from .drive import DriveProtocol, TabulatedProtocol, load_waveform_table
 from .experiment import MAX_EVENTS
 from .model import DEFAULT_SUBSPACE, DeviceParams, charge_labels, label_rows
 from .noise import DEFAULT_BATH_TEMPERATURE, DetectorParams
-from .propagate import PropagatorConfig
+from .propagate import MAX_SAMPLES, PropagatorConfig
 from .thermo import EXACT, SAMPLED
 
 DEFAULT_SEED = 20260814
@@ -209,10 +209,8 @@ class RunConfig:
         for key in ("spectrum_samples", "trace_samples"):
             if getattr(self, key) < 2:
                 raise ValueError(f"config key {key!r} must be >= 2")
-            # more float64 times than an array can address; near 2**63,
-            # numpy's linspace fails with an IndexError instead of refusing
-            if getattr(self, key) > 2**60:
-                raise ValueError(f"config key {key!r} must be at most 2**60")
+            if getattr(self, key) > MAX_SAMPLES:
+                raise ValueError(f"config key {key!r} must be at most {MAX_SAMPLES}")
 
     def resolved(self) -> dict:
         """Defaults-applied echo; re-ingesting it reproduces this config."""

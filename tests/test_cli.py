@@ -244,10 +244,12 @@ def test_malformed_propagator_messages(mapping, message):
 MALFORMED_CONFIGS = {
     "device-type": ({"device": [1]}, "config section 'device' must be a JSON object"),
     "device-value": ({"device": {"n_charges": 4}}, "n_charges must be odd and >= 5"),
-    # numpy's arange returns an empty basis at this size, allocating nothing
     "device-value-int64": (
-        {"device": {"n_charges": 2**63 - 1}},
-        "n_charges 9223372036854775807 is too large for a basis",
+        {"device": {"n_charges": 2**63 - 1}}, "n_charges must be at most 101"
+    ),
+    # the first odd basis size above model.MAX_CHARGES
+    "device-value-bound": (
+        {"device": {"n_charges": 103}}, "n_charges must be at most 101"
     ),
     "protocol-type": (
         {"protocol": "cosine"}, "config section 'protocol' must be a JSON object"
@@ -370,7 +372,11 @@ MALFORMED_CONFIGS = {
     # numpy's linspace raised IndexError at this count
     "spectrum_samples-bound": (
         {"spectrum_samples": 2**63 - 1},
-        "config key 'spectrum_samples' must be at most 2**60",
+        "config key 'spectrum_samples' must be at most 100000",
+    ),
+    "spectrum_samples-bound-plus-one": (
+        {"spectrum_samples": 10**5 + 1},
+        "config key 'spectrum_samples' must be at most 100000",
     ),
     "trace_samples-type": (
         {"trace_samples": 2.0}, "config key 'trace_samples' must be an integer"
@@ -379,7 +385,11 @@ MALFORMED_CONFIGS = {
         {"trace_samples": 1}, "config key 'trace_samples' must be >= 2"
     ),
     "trace_samples-bound": (
-        {"trace_samples": 2**63 - 1}, "config key 'trace_samples' must be at most 2**60"
+        {"trace_samples": 2**63 - 1},
+        "config key 'trace_samples' must be at most 100000",
+    ),
+    "trace_samples-bound-plus-one": (
+        {"trace_samples": 10**5 + 1}, "config key 'trace_samples' must be at most 100000"
     ),
     "output_dir-type": ({"output_dir": 1}, "config key 'output_dir' must be a string"),
     "unknown-key": (
@@ -560,7 +570,7 @@ def test_numeric_errors_exit_2(tmp_path, capsys, monkeypatch, error, line):
 
 
 def test_config_stage_numeric_errors_exit_2(tmp_path, capsys, monkeypatch):
-    # as when a basis of n_charges 4,000,000,001 does not fit in memory
+    # as when the host runs out of memory while the config is built
     def failing_labels(*args, **kwargs):
         raise MemoryError("Unable to allocate 29.8 GiB")
 

@@ -1,14 +1,17 @@
-"""Scratch-memory bounds of the two hot paths.
+"""Scratch-memory bounds of the hot paths.
 
 The two-point sampler draws its uniforms in one fixed-size block and makes
 each partition's generator only when it reaches that partition, and
-``evolve`` assembles and steps through fixed-size blocks of steps, so
-neither holds scratch memory that grows with the event, partition or step
-count. The bounds are on the peak heap that ``tracemalloc`` sees during one
-call, over what was already held before it.
+``evolve`` and the spectrum and ratio traces walk fixed-size blocks of
+instants, so none holds scratch memory that grows with the event,
+partition, step or sample count. The bounds are on the peak heap that
+``tracemalloc`` sees during one call, over what was already held before it
+and, for the traces, over the result it returns.
 """
 
 import tracemalloc
+
+import pytest
 
 from cpbsim import (
     PropagatorConfig,
@@ -17,26 +20,35 @@ from cpbsim import (
     experiment,
     gibbs_weights,
     partition_seeds,
+    ratio_trace,
     sample_experiment,
     sample_work,
+    spectrum_trace,
 )
 
 MIB = 2**20
 
 
-def _scratch_peak(fn, *args):
-    """Largest traced heap, in bytes, that ``fn(*args)`` adds at any time."""
+def _traced(fn, *args):
+    """Largest traced heap, in bytes, that ``fn(*args)`` adds at any time,
+    and what it still holds on return, its result included."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - held
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak - held, kept - held
     finally:
         if started:
             tracemalloc.stop()
+
+
+def _scratch_peak(fn, *args):
+    """Largest traced heap, in bytes, that ``fn(*args)`` adds at any time."""
+    return _traced(fn, *args)[0]
 
 
 def test_sample_work_scratch_is_bounded(params, protocol, trans_forward):
@@ -69,3 +81,12 @@ def test_evolve_scratch_does_not_grow_with_steps(params, protocol):
     fine = _scratch_peak(evolve, params, protocol, PropagatorConfig(1e-4))
     assert fine <= MIB
     assert fine - coarse < 0.25 * MIB
+
+
+@pytest.mark.parametrize("trace", [spectrum_trace, ratio_trace])
+def test_trace_scratch_does_not_grow_with_samples(params, protocol, trace):
+    # 4,000 samples against 500: assembling every instant at once held about
+    # 2.7 kB per sample at N = 51, 9 MiB more at 4,000
+    small_peak, small_result = _traced(trace, params, protocol, 500)
+    large_peak, large_result = _traced(trace, params, protocol, 4000)
+    assert (large_peak - large_result) - (small_peak - small_result) < 0.25 * MIB

@@ -11,6 +11,7 @@ from cpbsim import (
     Waveform,
     evolve,
     prepare_ensemble,
+    ratio_trace,
     reverse_protocol,
     run_protocol,
     sample_drive,
@@ -19,7 +20,7 @@ from cpbsim import (
     unitarity_defect,
 )
 from cpbsim import propagate
-from cpbsim.propagate import MAX_STEPS, _grid
+from cpbsim.propagate import MAX_SAMPLES, MAX_STEPS, _grid
 
 from _dense import build_hamiltonian, eigensystem, step_unitary
 
@@ -313,6 +314,27 @@ def test_evolve_assembly_blocks_do_not_change_u(monkeypatch, params, protocol):
     for block in (1, 7, 1000):
         monkeypatch.setattr(propagate, "_ASSEMBLY_BLOCK", block)
         assert np.array_equal(evolve(params, protocol, COARSE, *window), u)
+
+
+def test_trace_assembly_blocks_do_not_change_results(monkeypatch, params, protocol):
+    # the traces walk evolve's block assembly; 300 instants leave a short
+    # last block at block sizes 7 and 128 and fit in one block of 1000
+    spectrum = spectrum_trace(params, protocol, 300)
+    ratios = ratio_trace(params, protocol, 300)
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(propagate, "_ASSEMBLY_BLOCK", block)
+        trace = spectrum_trace(params, protocol, 300)
+        assert np.array_equal(trace.times, spectrum.times)
+        assert np.array_equal(trace.energies, spectrum.energies)
+        assert ratio_trace(params, protocol, 300) == ratios
+
+
+@pytest.mark.parametrize("trace", [spectrum_trace, ratio_trace])
+def test_traces_refuse_more_than_max_samples(params, protocol, trace):
+    # refused before a time is laid out or a bias is sampled
+    message = f"^n_samples must be at least 2 and at most {MAX_SAMPLES}$"
+    with pytest.raises(ValueError, match=message):
+        trace(params, protocol, MAX_SAMPLES + 1)
 
 
 def test_evolve_window_validation(params, protocol):
