@@ -84,7 +84,7 @@ def _csv_conversion(kind: type) -> str:
 
 def _csv(rows) -> str:
     """CSV text: each row through one ``%`` template per tuple of cell types,
-    its bool cells first replaced by their words."""
+    ending in its newline, its bool cells first replaced by their words."""
     templates = {}
     lines = []
     for row in rows:
@@ -93,7 +93,7 @@ def _csv(rows) -> str:
         compiled = templates.get(kinds)
         if compiled is None:
             bools = [i for i, kind in enumerate(kinds) if issubclass(kind, _BOOLS)]
-            template = ",".join(map(_csv_conversion, kinds))
+            template = ",".join(map(_csv_conversion, kinds)) + "\n"
             compiled = templates[kinds] = template, bools
         template, bools = compiled
         if bools:
@@ -102,7 +102,7 @@ def _csv(rows) -> str:
                 values[i] = "true" if values[i] else "false"
             values = tuple(values)
         lines.append(template % values)
-    return "\n".join(lines) + "\n"
+    return "".join(lines)
 
 
 def _json_scalar(value) -> str:
@@ -254,8 +254,8 @@ def _matrix_rows(matrix: np.ndarray, labels: np.ndarray):
 def cmd_spectrum(cfg: RunConfig, out: _OutputSet) -> int:
     trace = spectrum_trace(cfg.device, cfg.protocol, cfg.spectrum_samples)
     header = ["t_ns"] + [f"e{k:02d}" for k in range(cfg.device.n_charges)]
-    table = np.column_stack((trace.times, trace.energies))
-    out.write("spectrum.csv", chain([header], (row.tolist() for row in table)))
+    rows = zip(trace.times.tolist(), trace.energies)
+    out.write("spectrum.csv", chain([header], ([t, *e.tolist()] for t, e in rows)))
     return EXIT_OK
 
 

@@ -12,11 +12,11 @@ The matrix elements need no complex eigensolve. The diagonal gauge D of
 :func:`cpbsim.model.gauge_tridiagonal` maps H = D T D^dagger to a real
 symmetric tridiagonal T, and D commutes with the charge operator n, so the
 elements are those of n between the real eigenvectors s of T:
-<k|n|k'> = s_k^T n s_k'. A trace walks its instants a block at a time, as
-:func:`cpbsim.propagate.evolve` walks its steps. Each instant solves only
-the pair (0, 1) it needs, by ``cpbsim._lapack.level_pair``: one LAPACK
-``dstevx`` call, which scales T first where its norm is out of range, so a
-Josephson energy up to the float range still gives the pair.
+<k|n|k'> = s_k^T n s_k'. A trace takes its instants one at a time from the
+walk that :func:`cpbsim.propagate.evolve` takes its steps from. Each instant
+solves only the pair (0, 1) it needs, by ``cpbsim._lapack.level_pair``: one
+LAPACK ``dstevx`` call, which scales T first where its norm is out of range,
+so a Josephson energy up to the float range still gives the pair.
 """
 
 from __future__ import annotations
@@ -131,31 +131,29 @@ def ratio_trace(
 
 
 def _ratio_points(params, biases, times, t_bath):
-    """:func:`dephasing_ratio` at each (bias, time), a block at a time."""
+    """:func:`dephasing_ratio` at each (bias, time), one instant at a time."""
     if not t_bath > 0:
         raise ValueError("bath temperature must be positive")
     n_values = charge_labels(params).astype(float)
-    times = iter(times)
     points = []
-    for block, diagonals, offs, _ in _forms(params, biases):
-        for bias, diagonal, off, time in zip(block, diagonals, offs, times):
-            energies, states = level_pair(diagonal, off)
-            elements = states.T @ (n_values[:, None] * states)
-            off_element = elements[0, 1] ** 2
-            diag = elements[0, 0] - elements[1, 1]
-            gap = energies[1] - energies[0]
-            x = gap / (2.0 * KB_OVER_HBAR * t_bath)
-            thermal = x / math.tanh(x) if x > 0.0 else 1.0
-            denom = diag * diag
-            ratio = math.inf if denom < 1e-24 else 4.0 * off_element / denom * thermal
-            points.append(
-                DephasingRatioPoint(
-                    time=time,
-                    tphi_over_t1=ratio,
-                    t2_over_t1=_t2_from_tphi(ratio),
-                    beta=beta_ratio(params, bias.flux),
-                )
+    for (bias, diagonal, off, _), time in zip(_forms(params, biases), times):
+        energies, states = level_pair(diagonal, off)
+        elements = states.T @ (n_values[:, None] * states)
+        off_element = elements[0, 1] ** 2
+        diag = elements[0, 0] - elements[1, 1]
+        gap = energies[1] - energies[0]
+        x = gap / (2.0 * KB_OVER_HBAR * t_bath)
+        thermal = x / math.tanh(x) if x > 0.0 else 1.0
+        denom = diag * diag
+        ratio = math.inf if denom < 1e-24 else 4.0 * off_element / denom * thermal
+        points.append(
+            DephasingRatioPoint(
+                time=time,
+                tphi_over_t1=ratio,
+                t2_over_t1=_t2_from_tphi(ratio),
+                beta=beta_ratio(params, bias.flux),
             )
+        )
     return points
 
 

@@ -9,7 +9,8 @@ duration is not an integer multiple.
 Each frozen H is tridiagonal with one phase arg E_J on every bond, so a
 diagonal gauge D makes it a real symmetric tridiagonal T. One walk, which
 every solve here and in ``cpbsim.noise`` and ``cpbsim.thermo`` takes,
-assembles T and D a block of instants per ``gauge_tridiagonal`` call.
+yields T and D one instant at a time; it assembles them a block of instants
+per ``gauge_tridiagonal`` call, and no caller sees the blocks.
 A step is then U_step = D S exp(-i E dt) S^T D^dagger with T = S E S^T from
 ``cpbsim._lapack.eigh`` (LAPACK ``dstevd``); S and S^T are applied as real
 products, and consecutive steps share one diagonal gauge change
@@ -79,11 +80,15 @@ class SpectrumTrace:
     energies: np.ndarray
 
 
-def _forms(params: DeviceParams, biases):
-    """(run, diagonals, offs, gauges) per run of <= _ASSEMBLY_BLOCK biases."""
+def _forms(params: DeviceParams, biases, span: float | None = None):
+    """(bias, diagonal, off, gauge) per instant, assembled _ASSEMBLY_BLOCK at a
+    time; given ``span``, each block passes :func:`_check_phase_rounding` first."""
     biases = iter(biases)
     while block := list(islice(biases, _ASSEMBLY_BLOCK)):
-        yield block, *gauge_tridiagonal(params, block)
+        diagonals, offs, gauges = gauge_tridiagonal(params, block)
+        if span is not None:
+            _check_phase_rounding(diagonals, offs, span)
+        yield from zip(block, diagonals, offs, gauges)
 
 
 def _instants(protocol, n_samples: int):
@@ -151,16 +156,14 @@ def evolve(
     # w = D^dagger U in the gauge D of the latest step (D = 1 before the first)
     w = np.eye(params.n_charges, dtype=complex)
     gauge = np.ones(params.n_charges, dtype=complex)
-    for _, diagonals, offs, gauges in _forms(params, biases):
-        _check_phase_rounding(diagonals, offs, t_stop - t_start)
-        # the block's forms come first: zip stops on them before taking a step
-        for diagonal, off, new_gauge, (_, step) in zip(diagonals, offs, gauges, steps):
-            energies, states = _eigh_tridiagonal(diagonal, off)
-            w *= (new_gauge.conj() * gauge)[:, None]
-            w = _real_product(states.T, w)
-            w *= np.exp(-1j * energies * step)[:, None]
-            w = _real_product(states, w)
-            gauge = new_gauge
+    forms = _forms(params, biases, t_stop - t_start)
+    for (_, diagonal, off, new_gauge), (_, step) in zip(forms, steps):
+        energies, states = _eigh_tridiagonal(diagonal, off)
+        w *= (new_gauge.conj() * gauge)[:, None]
+        w = _real_product(states.T, w)
+        w *= np.exp(-1j * energies * step)[:, None]
+        w = _real_product(states, w)
+        gauge = new_gauge
     return gauge[:, None] * w
 
 
@@ -199,10 +202,10 @@ def _frozen_eigh(params: DeviceParams, protocol):
     or products whose global phase drops out. H(0) must first pass
     :func:`evolve`'s phase-rounding check over the protocol's duration.
     """
-    _, diagonals, offs, gauges = next(_forms(params, [sample_drive(protocol, 0.0)]))
-    _check_phase_rounding(diagonals, offs, protocol.duration)
-    energies, states = _eigh_tridiagonal(diagonals[0], offs[0])
-    return energies, gauges[0][:, None] * states
+    start = [sample_drive(protocol, 0.0)]
+    _, diagonal, off, gauge = next(_forms(params, start, protocol.duration))
+    energies, states = _eigh_tridiagonal(diagonal, off)
+    return energies, gauge[:, None] * states
 
 
 def _real_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -225,13 +228,11 @@ def spectrum_trace(params: DeviceParams, protocol, n_samples: int) -> SpectrumTr
     """
     times, biases = _instants(protocol, n_samples)
     energies = np.empty((n_samples, params.n_charges))
-    rows = iter(energies)
     # finite entries can still span more than the float range; refused below
     with np.errstate(over="ignore"):
-        for _, diagonals, offs, _ in _forms(params, biases):
-            for diagonal, off, row in zip(diagonals, offs, rows):
-                levels = eigvalsh(diagonal, off)
-                row[:] = levels - levels[0]
+        for (_, diagonal, off, _), row in zip(_forms(params, biases), energies):
+            levels = eigvalsh(diagonal, off)
+            row[:] = levels - levels[0]
     if not np.isfinite(energies).all():
         raise FloatingPointError("the spectrum has a non-finite level")
     return SpectrumTrace(times=times, energies=energies)

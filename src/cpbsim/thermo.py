@@ -160,10 +160,10 @@ def energy_ladder(
     rows = label_rows(full, subspace)
     labels = full[rows]
     if bare:
-        _, diagonals, _, _ = next(_forms(params, [sample_drive(protocol, 0.0)]))
+        _, diagonal, _, _ = next(_forms(params, [sample_drive(protocol, 0.0)]))
         return EnergyLadder(
             labels=labels,
-            energies=diagonals[0][rows],
+            energies=diagonal[rows],
             overlaps=np.ones(labels.size),
         )
     levels, states = _frozen_eigh(params, protocol)

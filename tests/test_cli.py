@@ -329,6 +329,10 @@ MALFORMED_CONFIGS = {
     "temperatures_k-value": (
         {"temperatures_k": [10, -1]}, "temperatures_k entries must be positive"
     ),
+    "temperatures_k-bound-plus-one": (
+        {"temperatures_k": list(range(1, 102))},
+        "config key 'temperatures_k' must hold at most 100 entries",
+    ),
     "events-type": ({"events": 1.5}, "config key 'events' must be an integer"),
     "events-value": ({"events": 0}, "config key 'events' must be >= 1"),
     "events-bound": (

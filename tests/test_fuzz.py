@@ -19,9 +19,10 @@ from cpbsim.cli import main
 from cpbsim.config import RunConfig
 
 # Every case that is accepted stays cheap: 11 charge states, 112 steps per
-# direction, 1,000 events and five samples. The pool's huge values are
-# refused before anything is allocated or run: the event, sample, step and
-# basis counts are bounded.
+# direction (17,167 at a duration of 103 ns), at most 10^5 + 1 events and
+# 103 samples. The pool's huge values are refused before anything is
+# allocated or run: the event, step, sample, basis and temperature counts
+# are bounded, and the pool holds one value past each of the last three.
 BASE = {
     "device": {"n_charges": 11},
     "propagator": {"time_step": 6e-3},
@@ -30,7 +31,10 @@ BASE = {
     "spectrum_samples": 5,
     "trace_samples": 5,
 }
-POOL = (0, -1, 5e-324, 1e308, 2**63 - 1, "x", None, True, [], {}, [1.5])
+POOL = (
+    0, -1, 5e-324, 1e308, 2**63 - 1, "x", None, True, [], {}, [1.5],
+    103, 10**5 + 1, [1.5] * 101,
+)
 COMMANDS = ("spectrum", "noise", "run", "microrev", "gibbs")
 SEEDS = range(10)
 CASES_PER_SEED = 20
