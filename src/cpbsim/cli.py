@@ -82,11 +82,11 @@ def _csv_conversion(kind: type) -> str:
     return "%s"
 
 
-def _csv(rows) -> str:
-    """CSV text: each row through one ``%`` template per tuple of cell types,
-    ending in its newline, its bool cells first replaced by their words."""
+def _csv(rows) -> bytearray:
+    """UTF-8 CSV bytes: each row through one ``%`` template per tuple of cell
+    types, ending in its newline, its bool cells first replaced by their words."""
     templates = {}
-    lines = []
+    data = bytearray()
     for row in rows:
         values = tuple(row)
         kinds = tuple(map(type, values))
@@ -101,8 +101,8 @@ def _csv(rows) -> str:
             for i in bools:
                 values[i] = "true" if values[i] else "false"
             values = tuple(values)
-        lines.append(template % values)
-    return "".join(lines)
+        data += (template % values).encode("utf-8")
+    return data
 
 
 def _json_scalar(value) -> str:
@@ -190,9 +190,9 @@ class _OutputSet:
     """The run's payloads, their one formatter and the checksummed manifest.
 
     :meth:`write` takes rows for a ``.csv`` name and an object for a
-    ``.json`` name. Payloads stay in memory until :meth:`manifest`, which
-    writes them and the manifest into a sibling temporary directory and
-    renames that into place, so a command that fails part way leaves no
+    ``.json`` name and keeps the file's bytes. :meth:`manifest` adds the
+    manifest through it, writes every file into a sibling temporary directory
+    and renames that into place, so a command that fails part way leaves no
     files behind and the output directory holds exactly the files its
     manifest names. An existing output directory is replaced only when
     :func:`_check_replaceable` passes it, checked before the command runs
@@ -208,11 +208,10 @@ class _OutputSet:
     def write(self, name: str, payload) -> None:
         if name in self.payloads:
             raise ValueError(f"two outputs of this run are named {name}")
-        text = _jdump(payload) + "\n" if name.endswith(".json") else _csv(payload)
-        self.payloads[name] = text.encode("utf-8")
+        as_json = name.endswith(".json")
+        self.payloads[name] = (_jdump(payload) + "\n").encode("utf-8") if as_json else _csv(payload)
 
     def manifest(self, cfg: RunConfig) -> None:
-        checksums = {k: hashlib.sha256(v).hexdigest() for k, v in self.payloads.items()}
         doc = {
             "tool": "cpbsim",
             "version": __version__,
@@ -220,9 +219,9 @@ class _OutputSet:
             "lapack": LAPACK_BINDING,
             "seed": cfg.seed,
             "config": cfg.resolved(),
-            "outputs": {k: checksums[k] for k in sorted(checksums)},
+            "outputs": {k: hashlib.sha256(v).hexdigest() for k, v in sorted(self.payloads.items())},
         }
-        files = {**self.payloads, "manifest.json": (_jdump(doc) + "\n").encode("utf-8")}
+        self.write("manifest.json", doc)
         _check_replaceable(self.outdir)
         with _missing_parents(self.outdir):
             stage = Path(
@@ -232,7 +231,7 @@ class _OutputSet:
                 # made by mkdir, unlike the stage, so it gets the umask's mode
                 new, old = stage / "new", stage / "old"
                 new.mkdir()
-                for name, data in files.items():
+                for name, data in self.payloads.items():
                     (new / name).write_bytes(data)
                 if self.outdir.exists():
                     os.replace(self.outdir, old)

@@ -25,7 +25,7 @@ DEFAULT_SUBSPACE = (-2, -1, 0, 1, 2)
 
 #: Largest charge basis, labels -50..50. An ``evolve`` step takes 0.41 ms
 #: at N = 101 against 0.12 ms at the default 51 and 4.5 ms at 201 on a
-#: 2-vCPU x86-64 host, and ``cpbsim spectrum`` holds about 5.8 kB per sample
+#: 2-vCPU x86-64 host, and ``cpbsim spectrum`` holds about 2.4 kB per sample
 #: at N = 101. Only the phase-rounding check bounded N before, near 19,000.
 MAX_CHARGES = 101
 

@@ -44,8 +44,8 @@ PHASE_ROUNDING_LIMIT = 1e-6
 MAX_STEPS = 10**7
 
 #: Most instants one spectrum or ratio trace may sample. ``cpbsim spectrum``
-#: takes about 3 kB and 75 us per sample at N = 51, and 5.8 kB and 0.18 ms
-#: at N = 101, so 10^5 samples stay under 0.6 GB and 20 s.
+#: takes about 1.3 kB and 80 us per sample at N = 51, and 2.4 kB and 0.26 ms
+#: at N = 101, so 10^5 samples stay under 0.3 GB and 30 s.
 MAX_SAMPLES = 10**5
 
 # Instants whose tridiagonal forms _forms assembles in one call. A block's

@@ -548,6 +548,13 @@ def test_output_set_refuses_a_repeated_name(tmp_path):
     out.write("bk_table.csv", [["a"]])
     with pytest.raises(ValueError, match="^two outputs of this run are named bk_table.csv$"):
         out.write("bk_table.csv", [["a"]])
+    # a payload may not take the manifest's name, which write refuses as any
+    # repeat, before anything is written
+    out = _OutputSet(str(tmp_path / "o"))
+    out.write("manifest.json", {"outputs": {}})
+    with pytest.raises(ValueError, match="^two outputs of this run are named manifest.json$"):
+        out.manifest(RunConfig())
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -1395,8 +1402,8 @@ def test_formatter_matches_per_cell_rules(seed):
     expected = "".join(
         ",".join(_oracle_cell(v, json_value=False) for v in row) + "\n" for row in rows
     )
-    assert cpbsim.cli._csv(rows) == expected
-    assert cpbsim.cli._csv(tuple(row) for row in rows) == expected
+    assert cpbsim.cli._csv(rows) == expected.encode()
+    assert cpbsim.cli._csv(tuple(row) for row in rows) == expected.encode()
 
     # finite-float lists of one length at two depths, and a float list with
     # a nan, which prints null; a tuple prints as the list of its items

@@ -5,7 +5,8 @@ a boundary value or a value of the wrong type. The keys come from walking
 ``RunConfig``'s fields, so a new key is fuzzed without editing this file.
 Every case runs in-process through ``cli.main`` and must end with exit 0 or
 3 and exactly the files its manifest lists, or with exit 2, one ``cpbsim:``
-line on stderr and no ``--out``.
+line on stderr and no ``--out``. Fixed cases set each size bound's own key
+one past its bound on every command, which the seeded draws seldom do.
 """
 
 import copy
@@ -38,6 +39,14 @@ POOL = (
 COMMANDS = ("spectrum", "noise", "run", "microrev", "gibbs")
 SEEDS = range(10)
 CASES_PER_SEED = 20
+# (key path, the value one past its bound)
+PAST_BOUNDS = (
+    (("device", "n_charges"), 103),
+    (("spectrum_samples",), 10**5 + 1),
+    (("trace_samples",), 10**5 + 1),
+    (("events",), 10**11 + 1),
+    (("temperatures_k",), [1.5] * 101),
+)
 
 
 def _paths(ref, prefix=()):
@@ -86,6 +95,7 @@ def _check(argv, mapping, tmp_path, capsys):
     else:
         listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"]
         assert {p.name for p in out.iterdir()} == {"manifest.json", *listed}, case
+    return code, err
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -94,3 +104,17 @@ def test_fuzzed_configs_keep_the_exit_code_contract(seed, tmp_path, capsys):
     for i in range(CASES_PER_SEED):
         argv, mapping = _case(rng)
         _check(argv, mapping, tmp_path / str(i), capsys)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "path, value", PAST_BOUNDS, ids=[path[-1] for path, _value in PAST_BOUNDS]
+)
+def test_each_bound_refuses_its_own_key(command, path, value, tmp_path, capsys):
+    mapping = copy.deepcopy(BASE)
+    target = mapping
+    for name in path[:-1]:
+        target = target.setdefault(name, {})
+    target[path[-1]] = value
+    code, err = _check([command], mapping, tmp_path / "case", capsys)
+    assert code == 2 and path[-1] in err, err

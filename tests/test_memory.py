@@ -4,13 +4,15 @@ The two-point sampler draws its uniforms in one fixed-size block and makes
 each partition's generator only when it reaches that partition, and
 ``evolve`` and the spectrum and ratio traces walk fixed-size blocks of
 instants, so none holds scratch memory that grows with the event,
-partition, step or sample count. The bounds are on the peak heap that
-``tracemalloc`` sees during one call, over what was already held before it
-and, for the traces, over the result it returns.
+partition, step or sample count. The CSV writer encodes each row onto the
+payload's bytes, so it holds the payload about once. The bounds are on the
+peak heap that ``tracemalloc`` sees during one call, over what was already
+held before it and, for the traces and the writer, over what it keeps.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from cpbsim import (
@@ -25,6 +27,7 @@ from cpbsim import (
     sample_work,
     spectrum_trace,
 )
+from cpbsim.cli import _OutputSet
 
 MIB = 2**20
 
@@ -90,3 +93,15 @@ def test_trace_scratch_does_not_grow_with_samples(params, protocol, trace):
     small_peak, small_result = _traced(trace, params, protocol, 500)
     large_peak, large_result = _traced(trace, params, protocol, 4000)
     assert (large_peak - large_result) - (small_peak - small_result) < 0.25 * MIB
+
+
+def test_csv_payload_is_held_about_once(tmp_path):
+    # 4,000 rows of 52 floats, about 3 MiB of text: a list of the row
+    # strings, their join and its encoding held three copies, and at least
+    # two of them were alive together (scratch about 1.07 payloads)
+    rows = np.random.default_rng(7).standard_normal((4000, 52)).tolist()
+    out = _OutputSet(str(tmp_path / "o"))
+    peak, kept = _traced(out.write, "spectrum.csv", rows)
+    payload = len(out.payloads["spectrum.csv"])
+    assert payload > 3 * MIB
+    assert peak - kept < 0.5 * payload

@@ -15,12 +15,14 @@ default events and at 250017, each at seeds 1 and 20261019, plus ``gibbs
 --exact --dt 1e-3`` with ``{"bare_ladder": true}``, ``gibbs --sampled
 --dt 1e-3 --events 250017`` on the subspace ``[3, -4, 0, 4, -1, 2, -3, 1,
 -2]`` (a ladder order that differs from basis order, nine label runs per
-partition and a partition boundary crossed), ``run --exact --dt 1e-3`` on
-``{"protocol": {"direction": "backward"}}`` (``run`` without preparation or
-counts), and ``run --exact --dt 1e-3`` and ``gibbs --exact --dt 1e-3`` on a
-waveform table of the default drive, 201 rows over t in [0, 2/3] that the
-tool writes into its temporary directory, and ``microrev --dt 1e-3
---no-flux-inversion``, a broken reversal that exits 3 with its payloads.
+partition and a partition boundary crossed), ``run --exact --dt 1e-3``,
+``spectrum`` and ``noise`` on ``{"protocol": {"direction": "backward"}}``
+(``run`` without preparation or counts; both traces on the mirrored clock
+and inverted flux), and ``run --exact --dt 1e-3``, ``gibbs --exact --dt
+1e-3``, ``spectrum`` and ``noise`` on a waveform table of the default drive,
+201 rows over t in [0, 2/3] that the tool writes into its temporary
+directory, and ``microrev --dt 1e-3 --no-flux-inversion``, a broken reversal
+that exits 3 with its payloads: 30 commands.
 
 Prints one line per payload whose digest differs. Exit status: 0 when every
 command's outputs are equal, 1 on a difference, 2 when a checkout fails, or
@@ -83,11 +85,19 @@ CONFIG_RUNS = (
         {"subspace": [3, -4, 0, 4, -1, 2, -3, 1, -2]},
         ["gibbs", "--sampled", "--dt", "1e-3", "--events", "250017"],
     ),
-    ("backward", {"protocol": {"direction": "backward"}}, ["run", "--exact", "--dt", "1e-3"]),
+    *(
+        ("backward", {"protocol": {"direction": "backward"}}, argv)
+        for argv in (["run", "--exact", "--dt", "1e-3"], ["spectrum"], ["noise"])
+    ),
 )
 
 # Commands run on the waveform table that ``matrix`` writes.
-TABLE_COMMANDS = (["run", "--exact", "--dt", "1e-3"], ["gibbs", "--exact", "--dt", "1e-3"])
+TABLE_COMMANDS = (
+    ["run", "--exact", "--dt", "1e-3"],
+    ["gibbs", "--exact", "--dt", "1e-3"],
+    ["spectrum"],
+    ["noise"],
+)
 
 
 def waveform_table() -> str:
